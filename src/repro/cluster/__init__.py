@@ -11,8 +11,10 @@ admission queue:
 * :mod:`repro.cluster.shardmap` — :class:`ShardMap`, the chunk->shard
   placement (range-partitioned or striped, built on
   :class:`repro.storage.volumes.VolumeLayout`) and the query planner that
-  splits a global scan into shard-local sub-queries;
-* :mod:`repro.cluster.coordinator` — the scatter-gather coordinator: one
+  groups a global scan's chunks by primary shard and materialises each
+  group as a shard-local sub-query;
+* :mod:`repro.cluster.coordinator` — the scatter-gather coordinator (one
+  path for every configuration): one
   :class:`repro.service.admission.AdmissionController` front door, per-shard
   :class:`ShardSource` query sources, gathering of sub-query completions
   into whole-query :class:`ClusterQueryRecord` outcomes, and the
@@ -20,13 +22,12 @@ admission queue:
   points producing a merged cluster :class:`repro.service.slo.SLOReport`.
 
 When :attr:`repro.common.config.ClusterConfig.models_coordinator` is set,
-the coordinator itself is a real resource: a :mod:`repro.net` CPU + NIC
-cost bundle delays scatter deliveries and gather completions, and the
-merged SLO report carries its utilisation and queue-delay warnings.
+the coordinator itself is a real resource: an optional :mod:`repro.net`
+CPU + NIC cost model delays scatter deliveries and gather completions, and
+the merged SLO report carries its utilisation and queue-delay warnings.
 
-With ``replicas=R > 1``, a failure schedule, or a hedge policy
-(:attr:`repro.common.config.ClusterConfig.is_resilient`) the cluster also
-tolerates shard failures:
+With ``replicas=R > 1``, a failure schedule, or a hedge policy the same
+path also tolerates shard failures:
 
 * :mod:`repro.cluster.shardmap` places each chunk range on ``R`` shards by
   chained declustering, and the coordinator routes each chunk group to the
@@ -44,8 +45,8 @@ tolerates shard failures:
 
 A 1-shard cluster reproduces :func:`repro.service.run_service` bit for bit
 (same scheduling decisions, same SLO report) — pinned by
-``tests/test_cluster_equivalence.py``, which also pins that ``replicas=1``
-with an empty failure schedule reproduces the legacy cluster exactly.
+``tests/test_cluster_equivalence.py``, which also pins that spelling out
+``replicas=1``, an empty failure schedule and no hedge changes nothing.
 """
 
 from repro.cluster.shardmap import ShardMap

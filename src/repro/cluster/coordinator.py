@@ -7,36 +7,42 @@ completion/release), capping the number of concurrently executing *whole*
 queries at the cluster MPL (``shards * mpl_per_shard``, or whatever the
 adaptive controller currently allows).  Each shard simulator sees the
 cluster through its own :class:`ShardSource` (a
-:class:`repro.sim.source.QuerySource`):
+:class:`repro.sim.source.QuerySource`).  There is one scatter/gather path:
 
-* **scatter** — when the front door admits a query, the coordinator plans
-  it through the :class:`ShardMap` into shard-local sub-queries and hands
-  each owning shard its piece (timestamped with the admission time, so a
-  shard stepping later on the shared clock starts it at the right moment);
+* **scatter** — when the front door admits a query, the :class:`ShardMap`
+  groups its chunks by primary shard, and each chunk group is dispatched
+  as a shard-local sub-query to the least-loaded live replica of that
+  primary (on an unreplicated map, the primary itself), landing in the
+  shard's pending buffer stamped with its delivery time;
 * **gather** — a sub-query completion on any shard reports back through
-  :meth:`ClusterCoordinator.complete_subquery`; the whole query completes
-  when its *last* sub-query finishes, which is when its
+  :meth:`ClusterCoordinator.complete_subquery`.  The first copy of a chunk
+  group to finish wins (a racing hedge is cancelled), and the whole query
+  completes when its *last* group is gathered, which is when its
   :class:`ClusterQueryRecord` is written and its completion is fed to the
   front door — releasing its MPL slot, updating the adaptive controller,
   and possibly admitting (and scattering) the next queued queries.
 
-When the cluster configuration models the coordinator as a real resource
+Shard kills re-dispatch the dead shard's groups to surviving replicas (or
+park them until a repair), and hedging duplicates stragglers; both are
+driven by :mod:`repro.cluster.failures` and are inert on a healthy,
+unhedged cluster.
+
+The coordinator's own cost is an optional model, not a separate path.
+When the cluster configuration prices the coordinator
 (:attr:`repro.common.config.ClusterConfig.models_coordinator`), a
-:class:`repro.net.CoordinatorResources` bundle is threaded through both
-halves: admissions charge classify + per-sub-query scatter CPU, every
-scatter/gather message crosses the coordinator's NIC and the owning
-shard's NIC, and a query only completes once the coordinator's CPU has
-processed (and, for the last sub-query, merged) its gather message.
-Admission-to-shard-start and last-subquery-to-completion therefore gain
-modeled delay, and the coordinator can genuinely saturate.  With the
-default free configuration no bundle exists and the legacy instant
-scatter/gather path runs unchanged.
+:class:`repro.net.CoordinatorResources` bundle charges classify +
+per-sub-query scatter CPU, every scatter/gather message crosses the
+coordinator's NIC and the owning shard's NIC, and a query only completes
+once the coordinator's CPU has processed (and, for the last sub-query,
+merged) its gather message.  Without the bundle scatter and gather are
+instant.
 
 A 1-shard cluster degenerates to exactly the single-simulator open-system
 service (:func:`repro.service.run_service`): every query has one sub-query
-identical to itself, every completion releases the front door immediately,
-and the pending buffers are always drained within the poll that filled
-them.  ``tests/test_cluster_equivalence.py`` pins this bit for bit.
+identical to itself (same id, same chunks), every completion releases the
+front door immediately, and a released sub-query for the completing shard
+starts in the same event.  ``tests/test_cluster_equivalence.py`` pins this
+bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.errors import SimulationError
+from repro.cluster.failures import FailureInjector, HedgeMonitor
 from repro.cluster.shardmap import ShardMap
 from repro.core.cscan import ScanRequest
 from repro.metrics.stats import LatencySummary, percentile
@@ -122,8 +129,8 @@ class ClusterQueryRecord:
     #: latency is attributed along.  ``critical_shard < 0`` means the
     #: stamps were not recorded (hand-built records).
     critical_shard: int = -1
-    #: Shard-side id of the critical sub-query (the whole query id on the
-    #: legacy path, a synthesized id in resilient mode).
+    #: Shard-side id of the critical sub-query (the whole query id for an
+    #: original copy on an unreplicated map, a synthesized id otherwise).
     critical_sub_id: Optional[int] = None
     #: When the coordinator CPU finished classify+scatter for this query.
     ready_time: float = 0.0
@@ -175,16 +182,12 @@ class _OpenQuery:
     num_chunks: int
     shards: Tuple[int, ...]
     remaining: int
-    #: The original global scan (resilient mode keeps it so re-scatters and
-    #: hedges can materialise fresh sub-queries; the legacy path never
-    #: needs it).
-    spec: Optional[ScanRequest] = None
+    #: The original global scan (re-scatters and hedges materialise fresh
+    #: sub-queries from it).
+    spec: ScanRequest
     #: When the coordinator CPU finished classify+scatter (``admit_time``
-    #: on the free path).
+    #: without a cost model).
     ready: float = 0.0
-    #: Legacy-path per-shard scatter delivery times (resilient mode stamps
-    #: each :class:`_SubQuery` instead).
-    delivered: Dict[int, float] = field(default_factory=dict)
 
 
 #: Synthesized sub-query ids start far above any front-door query id, so a
@@ -195,7 +198,7 @@ _SUB_ID_BASE = 1_000_000_000
 
 @dataclass
 class _SubQuery:
-    """One dispatched copy of a chunk group (resilient mode only)."""
+    """One dispatched copy of a chunk group."""
 
     sub_id: int
     query_id: int
@@ -217,6 +220,12 @@ class _SubQuery:
     #: (parked until a repair) or ``"hedge"`` (straggler duplicate).
     origin: str = "original"
 
+    @property
+    def key(self) -> Tuple[int, int]:
+        """``(shard, sub_id)``: shard-side ids are only unique per shard
+        (every original copy on an unreplicated map keeps its query id)."""
+        return (self.shard, self.sub_id)
+
 
 class ClusterCoordinator:
     """Scatter/gather bookkeeping around the shared front-door pipeline."""
@@ -230,7 +239,6 @@ class ClusterCoordinator:
         loads_probe: Optional[Callable[[int], int]] = None,
         obs: Optional[FlightRecorder] = None,
         resources: Optional[CoordinatorResources] = None,
-        resilient: bool = False,
         hedge: Optional[HedgeConfig] = None,
         degrade_factor: float = 0.5,
     ) -> None:
@@ -246,8 +254,8 @@ class ClusterCoordinator:
         #: front-door process's ``cluster`` track.
         self._obs = obs
         self._obs_pid = "frontdoor"
-        #: Optional CPU/NIC cost bundle; ``None`` selects the legacy
-        #: free-coordinator path (instant scatter and gather).
+        #: Optional CPU/NIC cost model; ``None`` makes scatter and gather
+        #: instant.
         self.resources = resources
         self.shard_map = shard_map
         #: Sub-queries scattered to each shard but not yet polled by it,
@@ -260,27 +268,24 @@ class ClusterCoordinator:
         self.records: List[ClusterQueryRecord] = []
         #: Sub-queries scattered to each shard over the run.
         self.subqueries_scattered: List[int] = [0] * shard_map.num_shards
-        #: Replica-flexible routing with failure tolerance.  ``False``
-        #: selects the legacy primary-only path, byte for byte.
-        self.resilient = resilient
         #: Hedged-request policy (``None`` disables hedging).
         self.hedge_config = hedge
         #: Disk bandwidth multiplier applied to degraded shards.
         self.degrade_factor = degrade_factor
         num_shards = shard_map.num_shards
-        #: Per-shard liveness / degradation flags (resilient mode).
+        #: Per-shard liveness / degradation flags.
         self._live: List[bool] = [True] * num_shards
         self._degraded: List[bool] = [False] * num_shards
         #: Sub-queries currently dispatched to each shard (pending or
         #: running) — the load signal for least-loaded replica routing.
         self._outstanding: List[int] = [0] * num_shards
-        #: Live dispatched copies by sub-query id, in dispatch order.
-        self._subs: Dict[int, _SubQuery] = {}
-        #: ``(query_id, primary) -> [sub_id, ...]`` — the racing copies of
-        #: each chunk group (one normally, two while a hedge races).
-        self._groups: Dict[Tuple[int, int], List[int]] = {}
-        #: Every sub-query id ever dispatched for a query (append-only;
-        #: loads attribution sums the shards' per-sub counters over these).
+        #: Live dispatched copies by ``(shard, sub_id)``, in dispatch order.
+        self._subs: Dict[Tuple[int, int], _SubQuery] = {}
+        #: ``(query_id, primary) -> [(shard, sub_id), ...]`` — the racing
+        #: copies of each chunk group (one normally, two while a hedge races).
+        self._groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        #: Every distinct shard-side id ever dispatched for a query (append-
+        #: only; loads attribution sums the shards' counters over these).
         self._sub_ids_by_query: Dict[int, List[int]] = {}
         #: Chunk groups with no live replica, waiting for a repair.
         self._orphans: List[Tuple[int, int, Tuple[int, ...]]] = []
@@ -289,8 +294,8 @@ class ClusterCoordinator:
         self._hedge_cache: Tuple[int, float] = (-1, 0.0)
         #: Latest simulated time the coordinator has witnessed.
         self._clock = 0.0
-        #: The shard simulators (resilient mode cancels failed or hedged-out
-        #: sub-queries directly on them); set via :meth:`attach_shards`.
+        #: The shard simulators (failed or hedged-out sub-queries are
+        #: cancelled directly on them); set via :meth:`attach_shards`.
         self._simulators: Optional[List[ScanSimulator]] = None
         self._next_sub_id = _SUB_ID_BASE
         #: Availability counters and per-shard ``(time, state)`` timelines.
@@ -322,122 +327,32 @@ class ClusterCoordinator:
     def pump(self, now: float) -> None:
         """Run the front door up to ``now``, scattering what it admits.
 
-        Admitted queries land in the owning shards' pending buffers
-        (timestamped ``now``); queued and shed arrivals are tracked by the
-        admission controller.  Idempotent within one instant: every shard's
-        poll calls this, the first call does the work.
+        Admitted queries' sub-queries land in the owning shards' pending
+        buffers, stamped with their delivery time; queued and shed arrivals
+        are tracked by the admission controller.  Idempotent within one
+        instant: every shard's poll calls this, the first call does the
+        work.
         """
         for entry in self.frontdoor.pump(now):
             self._scatter(entry, now)
 
     def drained(self) -> bool:
         """``True`` once no future query can be admitted (arrivals exhausted
-        and the front queues empty).  Resilient mode also holds the cluster
-        open while orphaned chunk groups wait for a repair — the work still
-        exists even though no shard can run it yet."""
-        if self.resilient and self._orphans:
+        and the front queues empty) and no orphaned chunk group waits for a
+        repair — that work still exists even though no shard can run it."""
+        if self._orphans:
             return False
         return self.frontdoor.drained()
 
     # --------------------------------------------------------------- scatter
-    def _scatter(
-        self,
-        entry: QueuedQuery,
-        now: float,
-        direct_shard: Optional[int] = None,
-    ) -> Optional[AdmittedQuery]:
-        """Split one admitted query across its owning shards.
+    def _scatter(self, entry: QueuedQuery, now: float) -> None:
+        """Plan one admitted query into replica-routable chunk groups.
 
-        Sub-queries are buffered for each shard's next poll, except the one
-        addressed to ``direct_shard`` (the shard whose completion released
-        this query), which is returned for immediate start — mirroring how
-        the single-simulator service starts the released query in the same
-        event.
-
-        With a modeled coordinator there is no immediate start: every
-        sub-query first pays classify + scatter CPU and then two NIC hops,
-        landing in the owning shard's pending buffer stamped with its
-        *delivery* time.
-
-        In resilient mode the plan is replica-flexible instead: each chunk
-        group may run on any live replica, and nothing starts immediately
-        (``direct_shard`` is ignored — the releasing shard picks its new
-        sub-query out of the pending buffer within the same poll).
+        Each group goes to its least-loaded live replica (on an unreplicated
+        map, its one primary shard).  With a cost model every group first
+        pays classify + scatter CPU and then two NIC hops, landing in the
+        owning shard's pending buffer stamped with its *delivery* time.
         """
-        if self.resilient:
-            self._scatter_resilient(entry, now)
-            return None
-        plan = self.shard_map.plan(entry.spec)
-        if not plan:
-            raise SimulationError(
-                f"query {entry.spec.query_id} planned into zero sub-queries"
-            )
-        open_query = _OpenQuery(
-            submit_time=entry.submit_time,
-            admit_time=now,
-            name=entry.spec.name,
-            query_class=entry.query_class,
-            num_chunks=entry.spec.num_chunks,
-            shards=tuple(plan),
-            remaining=len(plan),
-            ready=now,
-        )
-        self._open[entry.spec.query_id] = open_query
-        if self._obs is not None:
-            self._obs.instant(
-                "cluster.scatter",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
-                query=entry.spec.query_id,
-                query_name=entry.spec.name,
-                query_class=entry.query_class,
-                chunks=entry.spec.num_chunks,
-                shards=sorted(plan),
-                subqueries=len(plan),
-            )
-            self._obs.set_gauge("cluster.open_queries", now, float(len(self._open)))
-        if self.resources is not None:
-            # Classify + build the scatter messages on the coordinator CPU,
-            # then ship each sub-query over two NIC hops.  Per-shard
-            # delivery times are monotone across queries (the coordinator
-            # NIC serialises sends), so each pending deque stays sorted.
-            ready = self.resources.admit(
-                now, entry.spec.query_id, len(plan)
-            )
-            open_query.ready = ready
-            for shard, sub_spec in plan.items():
-                admitted = AdmittedQuery(
-                    spec=sub_spec,
-                    stream=NO_STREAM,
-                    submit_time=entry.submit_time,
-                )
-                self.subqueries_scattered[shard] += 1
-                delivered = self.resources.deliver_scatter(
-                    ready, shard, entry.spec.query_id
-                )
-                open_query.delivered[shard] = delivered
-                self._pending[shard].append((delivered, admitted))
-            return None
-        direct: Optional[AdmittedQuery] = None
-        for shard, sub_spec in plan.items():
-            admitted = AdmittedQuery(
-                spec=sub_spec,
-                stream=NO_STREAM,
-                submit_time=entry.submit_time,
-            )
-            self.subqueries_scattered[shard] += 1
-            open_query.delivered[shard] = now
-            if shard == direct_shard:
-                direct = admitted
-            else:
-                self._pending[shard].append((now, admitted))
-        return direct
-
-    # ------------------------------------------------- resilient scatter path
-    def _scatter_resilient(self, entry: QueuedQuery, now: float) -> None:
-        """Plan one admitted query into replica-routable chunk groups."""
         groups = self.shard_map.plan_groups(entry.spec)
         if not groups:
             raise SimulationError(
@@ -534,9 +449,13 @@ class ClusterCoordinator:
                 )
             return None
         open_query = self._open[query_id]
-        sub_id = self._next_sub_id
-        self._next_sub_id += 1
-        assert open_query.spec is not None
+        if origin == "original" and self.shard_map.replicas == 1:
+            # The one possible copy keeps the whole query's id, exactly as
+            # the query would carry it on a single-simulator service.
+            sub_id = query_id
+        else:
+            sub_id = self._next_sub_id
+            self._next_sub_id += 1
         sub_spec = self.shard_map.sub_request(
             open_query.spec, global_chunks, target, sub_id
         )
@@ -551,9 +470,11 @@ class ClusterCoordinator:
             hedge_of=hedge_of,
             origin=origin,
         )
-        self._subs[sub_id] = sub
-        self._groups.setdefault((query_id, primary), []).append(sub_id)
-        self._sub_ids_by_query.setdefault(query_id, []).append(sub_id)
+        self._subs[sub.key] = sub
+        self._groups.setdefault((query_id, primary), []).append(sub.key)
+        sub_ids = self._sub_ids_by_query.setdefault(query_id, [])
+        if sub_id not in sub_ids:
+            sub_ids.append(sub_id)
         self._outstanding[target] += 1
         self.subqueries_scattered[target] += 1
         delivered = now
@@ -576,131 +497,39 @@ class ClusterCoordinator:
 
     # ---------------------------------------------------------------- gather
     def complete_subquery(
-        self, shard: int, query_id: int, now: float
+        self, shard: int, sub_id: int, now: float
     ) -> List[AdmittedQuery]:
         """Record one sub-query completion on ``shard``.
 
-        When it was the query's last sub-query the whole query completes:
-        its record is written and its completion is fed to the front door,
-        which may admit the next queued queries — whose sub-queries for
-        this same shard (if any) are returned for immediate start.
+        The first copy of a chunk group to finish wins and any racing hedge
+        is cancelled (its MPL, pending-buffer and accounting state unwound).
+        When it was the query's last group the whole query completes: its
+        record is written and its completion is fed to the front door,
+        which may admit the next queued queries.  Their sub-queries for
+        this same shard that are already deliverable are returned for
+        immediate start, mirroring how the single-simulator service starts
+        the released query in the same event.
 
-        With a modeled coordinator every completion message pays two NIC
-        hops plus gather CPU, and the final one additionally pays the
-        merge, so the query completes at the coordinator's processing time
-        rather than the shard's event time (and nothing starts immediately
-        — released queries travel back through the scatter path).
-
-        In resilient mode ``query_id`` is a synthesized sub-query id; the
-        first copy of a chunk group to finish wins and any racing hedge is
-        cancelled (its MPL, pending-buffer and accounting state unwound).
+        With a cost model every completion message pays two NIC hops plus
+        gather CPU, and the final one additionally pays the merge, so the
+        query completes at the coordinator's processing time rather than
+        the shard's event time (and released sub-queries are never yet
+        deliverable).
         """
-        if self.resilient:
-            return self._complete_sub_resilient(shard, query_id, now)
-        open_query = self._open.get(query_id)
-        if open_query is None:
-            raise SimulationError(
-                f"sub-query completion for unknown query {query_id}"
-            )
-        if shard not in open_query.shards:
-            raise SimulationError(
-                f"query {query_id} completed on shard {shard} it never touched"
-            )
-        open_query.remaining -= 1
-        completion = now
-        arrived = now
-        if self.resources is not None:
-            arrived = self.resources.deliver_gather(now, shard, query_id)
-            completion = self.resources.process_gather(
-                arrived, query_id, final=open_query.remaining == 0
-            )
-        if self._obs is not None:
-            self._obs.instant(
-                "cluster.subquery.complete",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
-                query=query_id,
-                shard=shard,
-                remaining=open_query.remaining,
-            )
-        if open_query.remaining > 0:
-            return []
-        del self._open[query_id]
-        if self._obs is not None:
-            self._obs.instant(
-                "cluster.gather",
-                "cluster",
-                completion,
-                self._obs_pid,
-                "cluster",
-                query=query_id,
-                query_name=open_query.name,
-                query_class=open_query.query_class,
-                shards=list(open_query.shards),
-                end_to_end_latency=completion - open_query.submit_time,
-            )
-            self._obs.set_gauge(
-                "cluster.open_queries", completion, float(len(self._open))
-            )
-        self.records.append(
-            ClusterQueryRecord(
-                query_id=query_id,
-                name=open_query.name,
-                submit_time=open_query.submit_time,
-                admit_time=open_query.admit_time,
-                finish_time=completion,
-                num_chunks=open_query.num_chunks,
-                shards=open_query.shards,
-                query_class=open_query.query_class,
-                # The last sub-query to finish IS the critical path; on the
-                # legacy path its shard-side id is the whole query id and
-                # originals dispatch the moment the coordinator is ready.
-                critical_shard=shard,
-                critical_sub_id=query_id,
-                ready_time=open_query.ready,
-                dispatch_time=open_query.ready,
-                delivered_time=open_query.delivered.get(shard, open_query.ready),
-                shard_finish_time=now,
-                gather_arrived_time=arrived,
-            )
-        )
-        if completion > now:
-            # Arrivals that landed while the gather was in flight must be
-            # admitted before this query's MPL slot is released, so the
-            # front door sees events in chronological order.
-            self.pump(completion)
-        started: List[AdmittedQuery] = []
-        for entry in self.frontdoor.on_complete(query_id, completion):
-            direct = self._scatter(entry, completion, direct_shard=shard)
-            if direct is not None:
-                started.append(direct)
-        return started
-
-    def _complete_sub_resilient(
-        self, shard: int, sub_id: int, now: float
-    ) -> List[AdmittedQuery]:
-        """Resilient-mode gather: first copy of a group to finish wins."""
         self._clock = max(self._clock, now)
-        sub = self._subs.get(sub_id)
+        sub = self._subs.pop((shard, sub_id), None)
         if sub is None:
             raise SimulationError(
-                f"sub-query completion for unknown sub-query {sub_id}"
+                f"completion of sub-query {sub_id} on shard {shard}, which "
+                "has no such sub-query outstanding"
             )
-        if sub.shard != shard:
-            raise SimulationError(
-                f"sub-query {sub_id} completed on shard {shard} but was "
-                f"dispatched to shard {sub.shard}"
-            )
-        del self._subs[sub_id]
         self._outstanding[shard] -= 1
         self._sub_latencies.append(now - sub.scatter_time)
         query_id = sub.query_id
         losers = [
             other
-            for other in self._groups.pop((query_id, sub.primary), [])
-            if other != sub_id
+            for other in self._groups.pop((query_id, sub.primary))
+            if other != sub.key
         ]
         for loser in losers:
             self._cancel_sub(loser, now)
@@ -708,11 +537,7 @@ class ClusterCoordinator:
             self.hedges_cancelled += len(losers)
             if sub.hedge_of is not None:
                 self.hedges_won += 1
-        open_query = self._open.get(query_id)
-        if open_query is None:
-            raise SimulationError(
-                f"sub-query {sub_id} gathered for unknown query {query_id}"
-            )
+        open_query = self._open[query_id]
         open_query.remaining -= 1
         completion = now
         arrived = now
@@ -777,12 +602,21 @@ class ClusterCoordinator:
             )
         )
         if completion > now:
+            # Arrivals that landed while the gather was in flight must be
+            # admitted before this query's MPL slot is released, so the
+            # front door sees events in chronological order.
             self.pump(completion)
+        queue = self._pending[shard]
+        mark = len(queue)
         for entry in self.frontdoor.on_complete(query_id, completion):
             self._scatter(entry, completion)
-        return []
+        # Same-event start: what this release scattered to the completing
+        # shard and is already deliverable leaves the buffer and starts now.
+        released = [queue.pop() for _ in range(len(queue) - mark)][::-1]
+        queue.extend(item for item in released if item[0] > now)
+        return [admitted for due, admitted in released if due <= now]
 
-    def _cancel_sub(self, sub_id: int, now: float) -> _SubQuery:
+    def _cancel_sub(self, key: Tuple[int, int], now: float) -> _SubQuery:
         """Withdraw one dispatched copy without completing it.
 
         A copy still sitting in its shard's pending buffer is simply
@@ -791,25 +625,26 @@ class ClusterCoordinator:
         its outstanding count is unwound, so routing and MPL accounting
         never leak cancelled work.
         """
-        sub = self._subs.pop(sub_id)
+        sub = self._subs.pop(key)
         self._outstanding[sub.shard] -= 1
         queue = self._pending[sub.shard]
         for index, (_, admitted) in enumerate(queue):
-            if admitted.spec.query_id == sub_id:
+            if admitted.spec.query_id == sub.sub_id:
                 del queue[index]
                 return sub
-        self._require_simulators()[sub.shard].cancel_query(sub_id, now)
+        self._require_simulators()[sub.shard].cancel_query(sub.sub_id, now)
         return sub
 
     # ------------------------------------------------------- failure control
     def attach_shards(self, simulators: Sequence[ScanSimulator]) -> None:
-        """Give resilient mode direct access to the shard simulators."""
+        """Give the coordinator direct access to the shard simulators (to
+        cancel failed or hedged-out sub-queries and throttle disks)."""
         self._simulators = list(simulators)
 
     def _require_simulators(self) -> List[ScanSimulator]:
         if self._simulators is None:
             raise SimulationError(
-                "resilient coordinator was not attached to its shard "
+                "coordinator was not attached to its shard "
                 "simulators; call attach_shards() before running"
             )
         return self._simulators
@@ -821,7 +656,8 @@ class ClusterCoordinator:
         destination any more), in-flight sub-queries are cancelled inside
         the simulator, and each orphaned chunk group is immediately
         re-dispatched to its least-loaded surviving replica — or parked
-        until a repair when none is live.
+        until a repair when none is live.  A query still in coordinator CPU
+        re-dispatches no earlier than its scatter finishes.
         """
         if not self._live[shard]:
             raise SimulationError(f"shard {shard} is already down")
@@ -849,18 +685,19 @@ class ClusterCoordinator:
         victims = [sub for sub in self._subs.values() if sub.shard == shard]
         simulators = self._require_simulators()
         for sub in victims:
-            del self._subs[sub.sub_id]
+            del self._subs[sub.key]
             self._outstanding[shard] -= 1
             if sub.sub_id not in pending_ids:
                 simulators[shard].cancel_query(sub.sub_id, now)
             group = self._groups[(sub.query_id, sub.primary)]
-            group.remove(sub.sub_id)
+            group.remove(sub.key)
             self._affected.add(sub.query_id)
             if group:
                 continue  # A hedge copy elsewhere still covers the group.
             del self._groups[(sub.query_id, sub.primary)]
             target = self._dispatch_group(
-                sub.query_id, sub.primary, sub.global_chunks, now,
+                sub.query_id, sub.primary, sub.global_chunks,
+                max(now, self._open[sub.query_id].ready),
                 origin="rescatter",
             )
             if target is not None:
@@ -993,7 +830,7 @@ class ClusterCoordinator:
         sub-query already past the threshold hedges *now*, not in the
         past).
         """
-        if not self.resilient or self.hedge_config is None:
+        if self.hedge_config is None:
             return None
         threshold = self._hedge_threshold()
         if threshold is None:
@@ -1055,9 +892,7 @@ class ClusterCoordinator:
                 )
 
     def stall_detail(self) -> str:
-        """Extra context for the lockstep deadlock error (resilient mode)."""
-        if not self.resilient:
-            return ""
+        """Extra context for the lockstep deadlock error."""
         parts: List[str] = []
         if self._orphans:
             parts.append(
@@ -1072,14 +907,8 @@ class ClusterCoordinator:
         return "; ".join(parts)
 
     def sub_ids_of(self, query_id: int) -> Tuple[int, ...]:
-        """Every sub-query id ever dispatched for one whole query.
-
-        The legacy path reuses the whole query's id on every shard, so it
-        returns the query id itself; resilient mode returns the synthesized
-        ids (including cancelled copies, whose chunk loads still happened).
-        """
-        if not self.resilient:
-            return (query_id,)
+        """Every distinct shard-side id ever dispatched for one whole query
+        (including cancelled copies, whose chunk loads still happened)."""
         return tuple(self._sub_ids_by_query.get(query_id, ()))
 
     def availability_report(self, duration: float) -> AvailabilitySLO:
@@ -1250,7 +1079,8 @@ class ClusterResult:
         default_factory=dict
     )
     #: Replication/failure/hedging accounting (``None`` unless the cluster
-    #: configuration is resilient); also threaded into ``slo.availability``.
+    #: is replicated, has a failure schedule or hedges); also threaded into
+    #: ``slo.availability``.
     availability: Optional[AvailabilitySLO] = None
     #: Firing episodes of the run's alert policy (empty when no policy was
     #: supplied or nothing fired).
@@ -1300,7 +1130,6 @@ def run_cluster_service(
     mpl_controller: Optional[MPLController] = None,
     obs: ObservabilityLike = None,
     alerts: Optional[AlertPolicy] = None,
-    workers: int = 1,
 ) -> ClusterResult:
     """Serve one arrival sequence with a sharded scatter-gather cluster.
 
@@ -1346,22 +1175,18 @@ def run_cluster_service(
         )
         if recorder is not None:
             resources.attach_observability(recorder)
-    resilient = cluster.is_resilient
-    if resilient:
-        # Loads are recorded per synthesized sub-query id; the probe maps
-        # them back to the whole query (`coordinator` binds late — the
-        # probe only runs once the simulation does).
-        def loads_probe(query_id: int) -> int:
-            return sum(
-                abm.loads_triggered.get(sub_id, 0)
-                for abm in abms
-                for sub_id in coordinator.sub_ids_of(query_id)
-            )
 
-    else:
-
-        def loads_probe(query_id: int) -> int:
-            return sum(abm.loads_triggered.get(query_id, 0) for abm in abms)
+    # Loads are recorded per shard-side id; the probe maps them back to the
+    # whole query through every dispatched copy (`coordinator` binds late —
+    # the probe only runs once the simulation does).  The shards' counters
+    # survive cancellation: a hedged loser's chunk loads really happened.
+    def loads_probe(query_id: int) -> int:
+        sub_ids = coordinator.sub_ids_of(query_id)
+        return sum(
+            abm.loads_triggered.get(sub_id, 0)
+            for abm in abms
+            for sub_id in sub_ids
+        )
 
     coordinator = ClusterCoordinator(
         arrivals,
@@ -1371,7 +1196,6 @@ def run_cluster_service(
         loads_probe=loads_probe,
         obs=recorder,
         resources=resources,
-        resilient=resilient,
         hedge=cluster.hedge,
         degrade_factor=cluster.failures.degrade_factor,
     )
@@ -1381,47 +1205,25 @@ def run_cluster_service(
         )
         for shard, abm in enumerate(abms)
     ]
+    coordinator.attach_shards(simulators)
     interrupts: List[object] = []
-    if resilient:
-        from repro.cluster.failures import FailureInjector, HedgeMonitor
-
-        coordinator.attach_shards(simulators)
-        if not cluster.failures.is_empty:
-            interrupts.append(FailureInjector(cluster.failures, coordinator))
-        if cluster.hedge is not None:
-            interrupts.append(HedgeMonitor(coordinator))
-    # ``workers`` is accepted for API symmetry with standalone fleets, but
-    # shard sources are master-coupled (they share the coordinator), so the
-    # lockstep runner always keeps cluster fleets on the serial frontier
-    # path — worker count cannot change cluster results.
+    if not cluster.failures.is_empty:
+        interrupts.append(FailureInjector(cluster.failures, coordinator))
+    if cluster.hedge is not None:
+        interrupts.append(HedgeMonitor(coordinator))
     shard_runs = LockstepRunner(
         simulators,
         obs=recorder,
         message_source=coordinator,
         interrupts=interrupts,
-        workers=workers,
     ).run()
+    # Shards and coordinator reference each other; break the cycle so the
+    # simulators are freed when this call returns, not at the next GC pass.
+    coordinator.attach_shards(())
 
     records = sorted(coordinator.records, key=lambda record: record.query_id)
-    if resilient:
-        # Attribute loads through every dispatched copy (the shards'
-        # counters survive cancellation — a hedged loser's chunk loads
-        # really happened and really hit the disks).
-        for record in records:
-            record.loads_triggered = sum(
-                abm.loads_triggered.get(sub_id, 0)
-                for abm in abms
-                for sub_id in coordinator.sub_ids_of(record.query_id)
-            )
-    else:
-        loads: Dict[int, int] = {}
-        for run in shard_runs:
-            for query in run.queries:
-                loads[query.query_id] = (
-                    loads.get(query.query_id, 0) + query.loads_triggered
-                )
-        for record in records:
-            record.loads_triggered = loads.get(record.query_id, 0)
+    for record in records:
+        record.loads_triggered = loads_probe(record.query_id)
 
     # Critical-path attribution: chain every record's coordinator stamps
     # with its critical sub-query's shard-side execution breakdown.  The
@@ -1478,7 +1280,11 @@ def run_cluster_service(
         coordinator_slo = resources.report(coordinator_duration)
         coordinator_timelines = resources.timelines()
     availability: Optional[AvailabilitySLO] = None
-    if resilient:
+    if (
+        cluster.replicas > 1
+        or not cluster.failures.is_empty
+        or cluster.hedge is not None
+    ):
         availability = coordinator.availability_report(makespan)
     slo = merge_shard_slo_reports(
         shard_reports,

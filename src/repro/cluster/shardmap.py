@@ -8,12 +8,16 @@ level up: ``"range"`` placement gives each shard one contiguous chunk range
 shards.
 
 On top of the placement geometry the map does the cluster's query planning:
-:meth:`ShardMap.plan` splits one global :class:`ScanRequest` into per-shard
-sub-queries whose chunk ids are *shard-local* (each shard simulator models
-its own table of ``chunks_owned(shard)`` chunks numbered from zero), using
-:meth:`VolumeLayout.local_index` for the translation.  Locality is what
-keeps per-shard seek accounting honest: chunks that are adjacent inside a
-shard's range stay adjacent in the sub-query.
+:meth:`ShardMap.plan_groups` groups one global :class:`ScanRequest`'s chunks
+by primary shard, and :meth:`ShardMap.sub_request` materialises a group as
+a sub-query whose chunk ids are *shard-local* (each shard simulator models
+its own table of ``chunks_owned(shard)`` chunks numbered from zero).
+Locality is what keeps per-shard seek accounting honest: chunks that are
+adjacent inside a shard's range stay adjacent in the sub-query.  A query
+touching one shard of an unreplicated map yields exactly one sub-query
+identical to the original when materialised under its own id (which is
+what makes a 1-shard cluster reproduce the single-simulator service bit
+for bit).
 
 With ``replicas=R > 1`` the map uses *chained declustering*: replica ``r``
 of primary shard ``p``'s chunk range lives on shard ``(p + r) % N``, so
@@ -193,41 +197,12 @@ class ShardMap:
         """The primary shards a query's chunk set touches, in shard order."""
         return tuple(sorted({self.shard_of(chunk) for chunk in spec.chunks}))
 
-    def plan(self, spec: ScanRequest) -> Dict[int, ScanRequest]:
-        """Split one global scan into per-primary-shard sub-queries.
-
-        Returns a dict mapping each touched shard to a sub-query carrying
-        the same ``query_id``, name, columns and per-chunk CPU cost, with
-        the shard's portion of the chunk set translated to shard-local ids.
-        A query touching one shard yields exactly one sub-query identical in
-        shape to the original (which is what makes a 1-shard cluster
-        reproduce the single-simulator service bit for bit).  Replication
-        does not change this plan — it only widens where each group *may*
-        run; replica-flexible routing goes through :meth:`plan_groups` +
-        :meth:`sub_request` instead.
-        """
-        by_shard: Dict[int, List[int]] = {}
-        for chunk in spec.chunks:
-            by_shard.setdefault(self.shard_of(chunk), []).append(
-                self._layout.local_index(chunk)
-            )
-        plan: Dict[int, ScanRequest] = {}
-        for shard in sorted(by_shard):
-            plan[shard] = ScanRequest(
-                query_id=spec.query_id,
-                name=spec.name,
-                chunks=tuple(sorted(by_shard[shard])),
-                columns=spec.columns,
-                cpu_per_chunk=spec.cpu_per_chunk,
-            )
-        return plan
-
     def plan_groups(self, spec: ScanRequest) -> Dict[int, Tuple[int, ...]]:
         """Group a query's *global* chunks by primary shard.
 
-        The routing-agnostic half of replica-flexible planning: each group
-        can be materialised on any of its primary's :meth:`replica_shards`
-        via :meth:`sub_request`.
+        The routing-agnostic half of planning: each group can be
+        materialised on any of its primary's :meth:`replica_shards` via
+        :meth:`sub_request`.
         """
         by_primary: Dict[int, List[int]] = {}
         for chunk in spec.chunks:
@@ -247,8 +222,10 @@ class ShardMap:
         """Materialise one chunk group as a sub-query on a chosen replica.
 
         ``sub_id`` becomes the sub-query's ``query_id`` (the coordinator
-        synthesises unique ids so re-scatters and hedges never collide on a
-        shard); the chunks are translated to ``shard``'s local table.
+        passes the whole query's id for an original copy on an unreplicated
+        map and synthesises unique ids otherwise, so re-scatters and hedges
+        never collide on a shard); the chunks are translated to ``shard``'s
+        local table.
         """
         return ScanRequest(
             query_id=sub_id,

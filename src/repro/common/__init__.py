@@ -41,7 +41,6 @@ from repro.common.config import (
     AdaptiveMPLConfig,
     ObservabilityConfig,
     DEFAULT_QUERY_CLASS,
-    canonical_discipline,
     ADMISSION_DISCIPLINES,
     VOLUME_PLACEMENTS,
     PAPER_NSM_SYSTEM,
@@ -76,7 +75,6 @@ __all__ = [
     "AdaptiveMPLConfig",
     "ObservabilityConfig",
     "DEFAULT_QUERY_CLASS",
-    "canonical_discipline",
     "ADMISSION_DISCIPLINES",
     "VOLUME_PLACEMENTS",
     "PAPER_NSM_SYSTEM",

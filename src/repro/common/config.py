@@ -10,7 +10,6 @@ tests use smaller configurations for speed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -200,15 +199,9 @@ class SystemConfig:
         }
 
 
-#: Admission-queue disciplines understood by the service layer.  ``"sjf"``
-#: (shortest job first) used to be called ``"priority"``; the old name is
-#: kept as a deprecated alias so existing configs and traces keep working,
-#: but it no longer denotes the per-class priority concept (see
-#: :class:`WorkloadClassConfig` for that).
-ADMISSION_DISCIPLINES = ("fifo", "sjf", "priority")
-
-#: Deprecated discipline names and their canonical replacements.
-DEPRECATED_DISCIPLINES = {"priority": "sjf"}
+#: Admission-queue disciplines understood by the service layer: arrival
+#: order (``"fifo"``) or shortest job first (``"sjf"``).
+ADMISSION_DISCIPLINES = ("fifo", "sjf")
 
 #: Workload class assigned to queries that do not declare one.
 DEFAULT_QUERY_CLASS = "default"
@@ -222,24 +215,6 @@ INHERIT = "inherit"
 def _inherits(value: object) -> bool:
     """Whether a per-class setting defers to the service-level value."""
     return isinstance(value, str) and value == INHERIT
-
-
-def canonical_discipline(discipline: str) -> str:
-    """Resolve deprecated discipline aliases (``"priority"`` -> ``"sjf"``).
-
-    Passing a deprecated alias emits a :class:`DeprecationWarning`; the
-    alias keeps working, but callers should migrate to the canonical name.
-    """
-    canonical = DEPRECATED_DISCIPLINES.get(discipline)
-    if canonical is None:
-        return discipline
-    warnings.warn(
-        f"admission discipline {discipline!r} is a deprecated alias for "
-        f"{canonical!r}; use {canonical!r} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return canonical
 
 
 def _validate_discipline(discipline: str, where: str) -> None:
@@ -301,9 +276,6 @@ class WorkloadClassConfig:
                 )
         if not _inherits(self.discipline):
             _validate_discipline(self.discipline, f"workload class {self.name!r}")
-            object.__setattr__(
-                self, "discipline", canonical_discipline(self.discipline)
-            )
 
     def resolve(
         self, queue_capacity: Optional[int], discipline: str
@@ -419,8 +391,7 @@ class ServiceConfig:
     discipline:
         Order in which queued queries are admitted: ``"fifo"`` (arrival
         order) or ``"sjf"`` (cheapest scan first, FIFO tie-break — a
-        deterministic shortest-job-first; ``"priority"`` is a deprecated
-        alias).
+        deterministic shortest-job-first).
     classes:
         Workload classes served by the front door (e.g. interactive vs
         batch).  Empty means one implicit class covering all traffic, which
@@ -446,7 +417,6 @@ class ServiceConfig:
         if self.queue_capacity is not None and self.queue_capacity < 0:
             raise ConfigurationError("queue_capacity must be >= 0 or None")
         _validate_discipline(self.discipline, "service")
-        object.__setattr__(self, "discipline", canonical_discipline(self.discipline))
         object.__setattr__(self, "classes", tuple(self.classes))
         names = [cls.name for cls in self.classes]
         if len(set(names)) != len(names):
@@ -545,7 +515,7 @@ class CoordinatorConfig:
 
     @property
     def is_free(self) -> bool:
-        """Whether every coordinator CPU cost is zero (the legacy model)."""
+        """Whether every coordinator CPU cost is zero (the default)."""
         return (
             self.classify_s == 0.0
             and self.scatter_per_subquery_s == 0.0
@@ -612,7 +582,7 @@ class NetworkConfig:
 
     @property
     def is_free(self) -> bool:
-        """Whether messages cost nothing to deliver (the legacy model)."""
+        """Whether messages cost nothing to deliver (the default)."""
         return self.bandwidth_bytes_per_s is None and self.per_message_s == 0.0
 
     def describe(self) -> Dict[str, Any]:
@@ -828,8 +798,7 @@ class ClusterConfig:
         Bound on the front admission queue (``None`` = unbounded,
         ``0`` = pure loss system), as in :class:`ServiceConfig`.
     discipline:
-        Front-queue admission order: ``"fifo"`` or ``"sjf"``
-        (``"priority"`` is a deprecated alias).
+        Front-queue admission order: ``"fifo"`` or ``"sjf"``.
     classes:
         Workload classes at the cluster front door, exactly as in
         :class:`ServiceConfig.classes`.
@@ -883,7 +852,6 @@ class ClusterConfig:
         if self.queue_capacity is not None and self.queue_capacity < 0:
             raise ConfigurationError("queue_capacity must be >= 0 or None")
         _validate_discipline(self.discipline, "cluster front queue")
-        object.__setattr__(self, "discipline", canonical_discipline(self.discipline))
         object.__setattr__(self, "classes", tuple(self.classes))
         names = [cls.name for cls in self.classes]
         if len(set(names)) != len(names):
@@ -926,19 +894,6 @@ class ClusterConfig:
             )
 
     @property
-    def is_resilient(self) -> bool:
-        """Whether replication, failures or hedging are in play.
-
-        ``False`` (the default) selects the legacy sub-query routing code
-        path, which the equivalence suite pins bit for bit.
-        """
-        return (
-            self.replicas > 1
-            or not self.failures.is_empty
-            or self.hedge is not None
-        )
-
-    @property
     def cluster_mpl(self) -> int:
         """Cluster-wide cap on concurrently executing whole queries."""
         return self.shards * self.mpl_per_shard
@@ -947,8 +902,8 @@ class ClusterConfig:
     def models_coordinator(self) -> bool:
         """Whether any coordinator CPU or network cost is non-zero.
 
-        ``False`` (the default) selects the legacy free-coordinator code
-        path, which the equivalence suite pins bit for bit.
+        ``False`` (the default) leaves the cluster without a coordinator
+        cost model: scatter and gather are instant.
         """
         return not (self.coordinator.is_free and self.network.is_free)
 

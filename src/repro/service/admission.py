@@ -10,9 +10,8 @@ bounded queues — one queue per *workload class* (interactive, batch, ...):
 * while fewer than :attr:`AdmissionController.limit` queries are executing,
   an arrival is admitted immediately;
 * otherwise it waits in its class's admission queue — FIFO, or
-  shortest-job-first under the ``"sjf"`` discipline (``"priority"`` is a
-  deprecated alias of ``"sjf"``; "priority" now refers to the per-class
-  priority weights of the relevance policies) — until capacity frees up;
+  shortest-job-first under the ``"sjf"`` discipline — until capacity
+  frees up;
 * when its class's queue is full (``queue_capacity``), the arrival is *shed*
   (rejected) and recorded per class, so overload turns into an explicit,
   attributable shed rate instead of unbounded latency;
@@ -42,7 +41,6 @@ from repro.common.config import (
     DEFAULT_QUERY_CLASS,
     ServiceConfig,
     WorkloadClassConfig,
-    canonical_discipline,
 )
 from repro.common.errors import ConfigurationError
 from repro.core.cscan import ScanRequest
@@ -205,8 +203,7 @@ class AdmissionController:
     def attach_observability(self, flight, process: str = "frontdoor") -> None:
         """Emit per-class queue-transition events into ``flight``.
 
-        Event labels always carry the canonical discipline name (``"sjf"``,
-        never the deprecated ``"priority"`` alias).
+        Event labels carry the queue's discipline name.
         """
         self._obs = flight
         self._obs_pid = process
@@ -220,7 +217,7 @@ class AdmissionController:
             name, "admission", now, self._obs_pid, "admission",
             query=entry.spec.query_id,
             query_class=queue.name,
-            discipline=canonical_discipline(queue.config.discipline),
+            discipline=queue.config.discipline,
             depth=len(queue),
             **extra,
         )

@@ -78,8 +78,8 @@ class ClassSLO:
 class AvailabilitySLO:
     """Replication/failure accounting attached to a cluster SLO report.
 
-    Built by the cluster coordinator when the configuration is *resilient*
-    (replicas, a failure schedule, or hedging); carries the per-shard
+    Built by the cluster coordinator when the configuration is replicated,
+    has a failure schedule, or hedges; carries the per-shard
     up/degraded timelines plus the counters that explain where failure-era
     latency went — hedges fired/won, orphan re-scatters, and the latency
     split between failure-affected and unaffected queries.
@@ -184,8 +184,8 @@ class SLOReport:
     #: on the zero-cost path).
     coordinator: Optional[CoordinatorSLO] = None
     #: Replication/failure accounting — only present on cluster reports
-    #: whose configuration is resilient (replicas > 1, a failure schedule,
-    #: or hedging); ``None`` preserves frozen equality on the legacy path.
+    #: whose configuration has replicas > 1, a failure schedule, or
+    #: hedging; ``None`` keeps reports of other runs equal to each other.
     availability: Optional[AvailabilitySLO] = None
     #: Per-class latency blame tables aggregated from the always-on
     #: :class:`repro.obs.postmortem.LatencyBreakdown` stamps ("interactive
@@ -356,7 +356,7 @@ def merge_shard_slo_reports(
     ``coordinator`` attaches the coordinator's own CPU/NIC accounting when
     the cluster models it as a real resource; ``duration`` then overrides
     the makespan (the last gather-merge can finish after the slowest shard
-    went idle).  Both default to the legacy free-coordinator behaviour.
+    went idle).  Both default to a free coordinator.
     """
     if not shard_reports:
         raise ValueError("cannot merge zero shard reports")
@@ -444,7 +444,7 @@ def render_availability_table(
     """One row per policy: failure counters, hedging and the latency split.
 
     Renders the :attr:`SLOReport.availability` sections; reports built
-    without a resilient cluster show ``-`` across the row.
+    without replicas, failures or hedging show ``-`` across the row.
     """
     headers = [
         "policy", "R", "avail%", "kills", "repairs", "hedged", "won",

@@ -289,7 +289,6 @@ class TestResilientDefaultsEquivalence:
             failures=FailureConfig(),
             hedge=None,
         )
-        assert not explicit.is_resilient
         baseline = self._nsm_cluster(tiny_schema, small_config, plain, policy)
         pinned = self._nsm_cluster(tiny_schema, small_config, explicit, policy)
         for run_a, run_b in zip(baseline.shard_runs, pinned.shard_runs):

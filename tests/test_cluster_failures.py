@@ -169,15 +169,6 @@ class TestFailureModelValidation:
         with pytest.raises(ConfigurationError, match="kind"):
             FailureEvent(1.0, 0, "explode")
 
-    def test_is_resilient_flags(self):
-        assert not ClusterConfig(shards=2).is_resilient
-        assert ClusterConfig(shards=2, replicas=2).is_resilient
-        assert ClusterConfig(
-            shards=2,
-            failures=FailureConfig(events=(FailureEvent(1.0, 0, "kill"),)),
-        ).is_resilient
-        assert ClusterConfig(shards=2, hedge=HedgeConfig()).is_resilient
-
     def test_random_schedule_is_seeded_and_valid(self):
         first = random_failure_schedule(
             shards=4, kills=3, start=1.0, spacing=2.0, downtime=0.5, seed=9
@@ -431,6 +422,102 @@ class TestKillDegradeRepair:
         assert first.slo == second.slo
 
 
+class TestKillDuringCoordinatorCpu:
+    """A kill that lands while a query is still in coordinator CPU (its
+    scatter not yet finished) must re-dispatch that query's groups no
+    earlier than the scatter completes: dispatching before ``ready`` made
+    the postmortem's ``rescatter_wait`` negative and killed the run."""
+
+    def test_rescatter_waits_for_the_scatter_to_finish(self):
+        from repro.common.config import (
+            BufferConfig,
+            CoordinatorConfig,
+            CpuConfig,
+            DiskConfig,
+            NetworkConfig,
+            SystemConfig,
+            WorkloadClassConfig,
+        )
+        from repro.common.units import KB, MB
+        from repro.service import poisson_arrivals
+        from repro.storage.schema import ColumnSpec, DataType, TableSchema
+        from repro.workload.queries import (
+            QueryFamily,
+            QueryTemplate,
+            classed_templates,
+        )
+
+        machine = SystemConfig(
+            disk=DiskConfig(
+                bandwidth_bytes_per_s=100 * MB,
+                avg_seek_s=0.002,
+                sequential_seek_s=0.0005,
+            ),
+            cpu=CpuConfig(cores=8),
+            buffer=BufferConfig(
+                chunk_bytes=1 * MB, page_bytes=64 * KB, capacity_chunks=8
+            ),
+        )
+        schema = TableSchema.build(
+            "orders", [ColumnSpec(name, DataType.INT64) for name in "abcd"]
+        )
+        tuples_per_chunk = int(
+            machine.buffer.chunk_bytes // schema.tuple_logical_bytes
+        )
+
+        def layout(chunks):
+            return NSMTableLayout.from_buffer_config(
+                schema, chunks * tuples_per_chunk, machine.buffer
+            )
+
+        cluster = ClusterConfig(
+            shards=8,
+            placement="range",
+            mpl_per_shard=4,
+            replicas=2,
+            classes=(
+                WorkloadClassConfig("interactive", weight=4.0),
+                WorkloadClassConfig("batch", weight=1.0),
+            ),
+            coordinator=CoordinatorConfig(
+                classify_s=0.003,
+                scatter_per_subquery_s=0.003,
+                gather_per_subquery_s=0.003,
+                merge_per_query_s=0.003,
+            ),
+            network=NetworkConfig(
+                bandwidth_bytes_per_s=1000 * MB, per_message_s=0.0002
+            ),
+            failures=FailureConfig(
+                events=(
+                    FailureEvent(10.01, 1, "kill"),
+                    FailureEvent(18.01, 1, "repair"),
+                )
+            ),
+        )
+        fast = QueryFamily("F", cpu_per_chunk=0.002)
+        batch = QueryFamily("B", cpu_per_chunk=0.02)
+        templates = classed_templates(
+            (QueryTemplate(fast, 12.5), QueryTemplate(fast, 25)), "interactive"
+        ) + classed_templates((QueryTemplate(batch, 50),), "batch")
+        arrivals = poisson_arrivals(
+            templates, layout(128), rate_qps=10.0, num_queries=150, seed=4
+        )
+        shard_map = ShardMap.from_cluster_config(cluster, 128)
+        abms = [
+            make_nsm_abm(
+                layout(shard_map.chunks_owned(shard)), machine, "relevance"
+            )
+            for shard in range(cluster.shards)
+        ]
+        result = run_cluster_service(arrivals, machine, abms, cluster)
+        assert result.slo.completed == 150
+        assert result.availability.rescatters > 0
+        for record in result.records:
+            assert record.dispatch_time >= record.ready_time
+            record.breakdown.validate(end_to_end=record.end_to_end_latency)
+
+
 # ------------------------------------------------------------------ hedging
 class TestHedgedRequests:
     def _clusters(self):
@@ -488,7 +575,6 @@ class TestHedgedRequests:
             arrivals,
             shard_map,
             admission,
-            resilient=True,
             hedge=hedged.hedge,
             degrade_factor=hedged.failures.degrade_factor,
         )
@@ -540,6 +626,36 @@ class TestHedgedRequests:
 
 # ------------------------------------------------------- availability SLO
 class TestAvailabilityReporting:
+    @pytest.mark.parametrize(
+        "knobs, reported",
+        [
+            ({}, False),
+            ({"replicas": 1, "failures": FailureConfig(), "hedge": None}, False),
+            ({"replicas": 2}, True),
+            (
+                {
+                    "failures": FailureConfig(
+                        events=(
+                            FailureEvent(0.05, 1, "kill"),
+                            FailureEvent(1.0, 1, "repair"),
+                        )
+                    )
+                },
+                True,
+            ),
+            ({"hedge": HedgeConfig()}, True),
+        ],
+    )
+    def test_section_only_when_replicated_failing_or_hedged(
+        self, tiny_schema, small_config, knobs, reported
+    ):
+        cluster = ClusterConfig(shards=2, mpl_per_shard=2, **knobs)
+        result = _run(
+            tiny_schema, small_config, cluster, _all_chunk_arrivals([0.0])
+        )
+        assert (result.availability is not None) is reported
+        assert result.slo.availability is result.availability
+
     def test_availability_section_round_trips_through_slo(
         self, tiny_schema, small_config
     ):

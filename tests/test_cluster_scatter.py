@@ -69,18 +69,28 @@ class TestShardMapGeometry:
             shard_map.validate_shard_tables((4, 4, 4))
 
 
+def _plan(shard_map, spec):
+    """Materialise every chunk group of ``spec`` on its primary shard under
+    the query's own id — how the coordinator scatters on an unreplicated
+    map."""
+    return {
+        primary: shard_map.sub_request(spec, chunks, primary, spec.query_id)
+        for primary, chunks in shard_map.plan_groups(spec).items()
+    }
+
+
 class TestPlanning:
     def test_single_shard_query_yields_identical_subquery(self):
         shard_map = ShardMap(num_chunks=8, num_shards=2, placement="range")
         spec = make_request(1, [0, 1, 2], cpu_per_chunk=0.5, columns=("a", "b"))
-        plan = shard_map.plan(spec)
+        plan = _plan(shard_map, spec)
         assert list(plan) == [0]
         assert plan[0] == spec  # same chunks, columns, cpu, id, name
 
     def test_all_shards_query_splits_everywhere(self):
         shard_map = ShardMap(num_chunks=8, num_shards=4, placement="range")
         spec = make_request(2, range(8))
-        plan = shard_map.plan(spec)
+        plan = _plan(shard_map, spec)
         assert list(plan) == [0, 1, 2, 3]
         for shard, sub in plan.items():
             assert sub.chunks == (0, 1)
@@ -89,14 +99,14 @@ class TestPlanning:
     def test_skewed_range_splits_unevenly(self):
         shard_map = ShardMap(num_chunks=8, num_shards=2, placement="range")
         spec = make_request(3, [3, 4, 5, 6, 7])
-        plan = shard_map.plan(spec)
+        plan = _plan(shard_map, spec)
         assert plan[0].chunks == (3,)
         assert plan[1].chunks == (0, 1, 2, 3)
 
     def test_striped_plan_translates_to_local_ids(self):
         shard_map = ShardMap(num_chunks=6, num_shards=2, placement="striped")
         spec = make_request(4, [1, 2, 3, 5])
-        plan = shard_map.plan(spec)
+        plan = _plan(shard_map, spec)
         assert plan[0].chunks == (1,)        # global 2 -> local 1
         assert plan[1].chunks == (0, 1, 2)   # globals 1, 3, 5
         assert shard_map.shards_of(spec) == (0, 1)
@@ -104,7 +114,7 @@ class TestPlanning:
     def test_one_shard_map_is_identity(self):
         shard_map = ShardMap(num_chunks=8, num_shards=1, placement="range")
         spec = make_request(5, [2, 5, 7])
-        assert shard_map.plan(spec) == {0: spec}
+        assert _plan(shard_map, spec) == {0: spec}
 
 
 def _coordinator(specs_and_times, max_concurrent=1, num_chunks=8, shards=2):
@@ -203,7 +213,7 @@ class TestGatherOrdering:
         class EmptyPlanner:
             num_shards = coordinator.shard_map.num_shards
 
-            def plan(self, _spec):
+            def plan_groups(self, _spec):
                 return {}
 
         coordinator.shard_map = EmptyPlanner()

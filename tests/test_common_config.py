@@ -13,6 +13,7 @@ from repro.common.config import (
     PAPER_NSM_SYSTEM,
     ServiceConfig,
     SystemConfig,
+    WorkloadClassConfig,
 )
 from repro.common.errors import ConfigurationError
 from repro.common.units import MB
@@ -175,12 +176,11 @@ class TestClusterConfig:
 
     def test_front_service_mirrors_cluster_knobs(self):
         cluster = ClusterConfig(
-            shards=2, mpl_per_shard=3, queue_capacity=10, discipline="priority"
+            shards=2, mpl_per_shard=3, queue_capacity=10, discipline="sjf"
         )
         front = cluster.front_service()
         assert front.max_concurrent == 6
         assert front.queue_capacity == 10
-        # "priority" is a deprecated alias; both sides normalise to "sjf".
         assert front.discipline == "sjf"
         assert cluster.discipline == "sjf"
 
@@ -202,15 +202,16 @@ class TestClusterConfig:
         assert description["queue_capacity"] == "unbounded"
 
 
-class TestDeprecatedDisciplineAlias:
-    def test_priority_alias_warns_but_still_works(self):
-        # The alias must keep functioning for old callers ...
-        with pytest.warns(DeprecationWarning, match="'priority'.*'sjf'"):
-            service = ServiceConfig(max_concurrent=2, discipline="priority")
-        assert service.discipline == "sjf"
-        with pytest.warns(DeprecationWarning):
-            cluster = ClusterConfig(shards=2, discipline="priority")
-        assert cluster.discipline == "sjf"
+class TestRemovedPriorityDiscipline:
+    def test_priority_is_rejected_naming_sjf(self):
+        # The old name of "sjf" is no longer an alias: every config that
+        # takes a discipline rejects it and lists "sjf" among the choices.
+        with pytest.raises(ConfigurationError, match="'priority'.*'sjf'"):
+            ServiceConfig(max_concurrent=2, discipline="priority")
+        with pytest.raises(ConfigurationError, match="'priority'.*'sjf'"):
+            ClusterConfig(shards=2, discipline="priority")
+        with pytest.raises(ConfigurationError, match="'priority'.*'sjf'"):
+            WorkloadClassConfig("batch", discipline="priority")
 
     def test_canonical_names_do_not_warn(self):
         import warnings as _warnings

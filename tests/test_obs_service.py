@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.config import ObservabilityConfig, ServiceConfig
+from repro.common.errors import ConfigurationError
 from repro.obs import (
     FlightRecorder,
     chrome_trace,
@@ -155,16 +156,21 @@ class TestTraceContent:
         assert profile.phase("unregister").calls == 10
 
 
-class TestDeprecatedAliasNeverTraced:
-    def test_priority_discipline_traces_as_sjf(
+class TestDisciplineTraceVocabulary:
+    def test_priority_discipline_is_rejected(self):
+        # "priority" (the old name of "sjf") can no longer reach a trace:
+        # the config rejects it before any run starts.
+        with pytest.raises(ConfigurationError, match="'sjf'"):
+            ServiceConfig(max_concurrent=1, discipline="priority")
+
+    def test_sjf_discipline_traces_as_sjf(
         self, templates, nsm_layout, small_config
     ):
-        # Config-level "priority" stays accepted as an alias, but the trace
-        # vocabulary is canonical: every admission event says "sjf".
+        # Every admission event names the discipline "sjf".
         result = _run(
             nsm_layout, small_config, templates, "relevance",
             obs=ObservabilityConfig(),
-            service=ServiceConfig(max_concurrent=1, discipline="priority"),
+            service=ServiceConfig(max_concurrent=1, discipline="sjf"),
         )
         disciplines = {
             event.args["discipline"]

@@ -17,15 +17,8 @@ import multiprocessing
 
 import pytest
 
-from repro.cluster import ShardMap, run_cluster_service
-from repro.common.config import (
-    ClusterConfig,
-    FailureConfig,
-    FailureEvent,
-    ObservabilityConfig,
-)
+from repro.common.config import ObservabilityConfig
 from repro.common.errors import SimulationError
-from repro.service import Arrival
 from repro.sim.lockstep import LockstepRunner
 from repro.sim.parallel import fleet_parallelizable
 from repro.sim.results import scheduling_fingerprint as _fingerprint
@@ -182,66 +175,6 @@ class TestFleetParallelizable:
         from repro.cluster.coordinator import ShardSource
 
         assert ShardSource.master_coupled is True
-
-
-# -------------------------------------------- cluster runs ignore workers
-class TestClusterSerialFallback:
-    def _run_cluster(self, tiny_schema, small_config, workers):
-        cluster = ClusterConfig(
-            shards=4,
-            mpl_per_shard=2,
-            replicas=2,
-            failures=FailureConfig(
-                events=(
-                    FailureEvent(0.05, 1, "kill"),
-                    FailureEvent(5.0, 1, "repair"),
-                )
-            ),
-        )
-        shard_map = ShardMap.from_cluster_config(cluster, 32)
-        tuples_per_chunk = small_config.buffer.chunk_bytes // 32
-        abms = [
-            make_nsm_abm(
-                NSMTableLayout.from_buffer_config(
-                    tiny_schema,
-                    shard_map.chunks_owned(shard) * tuples_per_chunk,
-                    small_config.buffer,
-                ),
-                small_config,
-                "relevance",
-                capacity_chunks=4,
-            )
-            for shard in range(cluster.shards)
-        ]
-        arrivals = [
-            Arrival(time, make_request(10 + index, range(32), name="F",
-                                       cpu_per_chunk=0.001))
-            for index, time in enumerate([0.0, 0.4, 6.0])
-        ]
-        return run_cluster_service(
-            arrivals, small_config, abms, cluster, workers=workers
-        )
-
-    def test_failure_run_identical_for_any_worker_count(
-        self, tiny_schema, small_config
-    ):
-        # Shard sources are master-coupled, so the cluster always runs on
-        # the serial min-frontier path: a replicated fleet with a mid-run
-        # kill must be bit-for-bit identical under workers=1 and workers=4.
-        serial = self._run_cluster(tiny_schema, small_config, workers=1)
-        forked = self._run_cluster(tiny_schema, small_config, workers=4)
-        assert [_fingerprint(run) for run in serial.shard_runs] == [
-            _fingerprint(run) for run in forked.shard_runs
-        ]
-        assert serial.slo == forked.slo
-        assert [
-            (record.query_id, record.finish_time, record.shards)
-            for record in serial.records
-        ] == [
-            (record.query_id, record.finish_time, record.shards)
-            for record in forked.records
-        ]
-        assert serial.availability.kills == 1
 
 
 # ----------------------------------------------- engine x workers matrix

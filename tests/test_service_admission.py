@@ -52,19 +52,17 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig(discipline="lifo")
 
-    def test_priority_is_deprecated_alias_of_sjf(self):
-        # The old discipline name still works but normalises to "sjf", so
-        # it no longer collides with the per-class priority concept.
-        with pytest.deprecated_call():
-            assert ServiceConfig(discipline="priority").discipline == "sjf"
+    def test_priority_discipline_is_rejected(self):
+        # "priority" was the old name of "sjf"; it is no longer accepted,
+        # and the error lists "sjf" among the valid disciplines.
+        with pytest.raises(ConfigurationError, match="'sjf'"):
+            ServiceConfig(discipline="priority")
         assert ServiceConfig(discipline="sjf").discipline == "sjf"
 
     def test_internal_paths_are_deprecation_clean(self):
-        # The "priority" alias exists for external configs only; every
-        # internal path spells "sjf" directly.  Raising DeprecationWarning
-        # as an error pins that no internal call site regressed onto the
-        # alias (the config layer is where the warning is emitted, so a
-        # clean construct-and-admit cycle covers the whole path).
+        # Raising DeprecationWarning as an error pins that a clean
+        # construct-and-admit cycle over the service and cluster configs
+        # emits no deprecation anywhere on the path.
         import warnings
 
         from repro.common.config import ClusterConfig
@@ -141,9 +139,8 @@ class TestAdmission:
         assert second.spec.query_id == 2
         assert ctrl.active == 1
 
-    @pytest.mark.parametrize("discipline", ["sjf", "priority"])
-    def test_sjf_pops_cheapest_scan_first(self, discipline):
-        ctrl = controller(max_concurrent=1, discipline=discipline)
+    def test_sjf_pops_cheapest_scan_first(self):
+        ctrl = controller(max_concurrent=1, discipline="sjf")
         ctrl.offer(make_request(0, range(4)), 0.0)
         ctrl.offer(make_request(1, range(20), name="big"), 0.1)
         ctrl.offer(make_request(2, range(2), name="small"), 0.2)
