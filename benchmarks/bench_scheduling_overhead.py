@@ -1,14 +1,16 @@
 """Scheduling overhead: incremental vs naive relevance bookkeeping.
 
 The paper's Figure 8 argues that relevance scheduling is viable because its
-cost stays negligible compared to I/O.  Our naive implementation recomputes
-every relevance function from scratch, making one ``choose_load`` walk all
-registered queries for every candidate chunk — O(queries x chunks) per
-decision.  The incremental interest trackers (:mod:`repro.core.interest`)
-maintain the same aggregates as O(1)-updated counters.
+cost stays negligible compared to I/O.  The reference oracle in
+``tests/naive_relevance.py`` recomputes every relevance aggregate from
+scratch, making one ``choose_load`` walk all registered queries for every
+candidate chunk — O(queries x chunks) per decision.  The incremental
+interest trackers (:mod:`repro.core.interest`) that every ABM runs maintain
+the same aggregates as O(1)-updated counters.
 
 This benchmark sweeps (streams x chunks) for the NSM relevance policy plus
-one DSM point, runs every scenario in both modes, and asserts:
+one DSM point, runs every scenario once with the oracle swapped in
+(``use_naive_bookkeeping``) and with the ABM's own trackers, and asserts:
 
 * **bit-for-bit identical scheduling decisions** in every scenario (same
   query finish times, same delivery orders, same I/O trace);
@@ -21,7 +23,8 @@ one DSM point, runs every scenario in both modes, and asserts:
 
 Run it under pytest-benchmark like the other benchmarks, or standalone
 (which also writes ``benchmarks/out/scheduling_overhead_results.json`` for
-the CI artifact)::
+the CI artifact).  Either way, run it from the repository root: the naive
+side is imported from ``tests.naive_relevance``::
 
     PYTHONPATH=src python -m benchmarks.bench_scheduling_overhead
 """
@@ -43,6 +46,7 @@ from repro.storage.nsm import NSMTableLayout
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
 from repro.workload.tpch import lineitem_dsm_layout, lineitem_nsm_schema
+from tests.naive_relevance import use_naive_bookkeeping
 
 TABLE_BYTES = 2 * GB
 QUERIES_PER_STREAM = 3
@@ -81,17 +85,15 @@ def _nsm_case(num_streams: int, num_chunks: int):
     templates = [QueryTemplate(fast, percent) for percent in (1, 10, 100)]
     buffer_chunks = max(4, num_chunks // 4)
 
-    def run(incremental: bool):
+    def run(naive: bool):
         streams = build_streams(
             templates, layout, num_streams, QUERIES_PER_STREAM, seed=num_chunks
         )
         abm = make_nsm_abm(
-            layout,
-            config,
-            "relevance",
-            capacity_chunks=buffer_chunks,
-            incremental=incremental,
+            layout, config, "relevance", capacity_chunks=buffer_chunks
         )
+        if naive:
+            use_naive_bookkeeping(abm)
         return run_simulation(streams, config, abm, record_trace=True)
 
     return run
@@ -109,17 +111,15 @@ def _dsm_case(num_streams: int):
     templates = [QueryTemplate(narrow, 10), QueryTemplate(wide, 100)]
     capacity_pages = max(64, int(layout.table_pages() * 0.3))
 
-    def run(incremental: bool):
+    def run(naive: bool):
         streams = build_streams(
             templates, layout, num_streams, QUERIES_PER_STREAM, seed=99
         )
         abm = make_dsm_abm(
-            layout,
-            config,
-            "relevance",
-            capacity_pages=capacity_pages,
-            incremental=incremental,
+            layout, config, "relevance", capacity_pages=capacity_pages
         )
+        if naive:
+            use_naive_bookkeeping(abm)
         return run_simulation(streams, config, abm, record_trace=True)
 
     return run, layout.num_chunks
@@ -132,11 +132,11 @@ def _measure(run) -> dict:
     scheduler hiccup could push the wrong way) is run twice and the faster
     sample kept; both samples must still make identical decisions.
     """
-    naive = run(incremental=False)
+    naive = run(naive=True)
     started = time.perf_counter()
-    incremental = run(incremental=True)
+    incremental = run(naive=False)
     wall_clock = time.perf_counter() - started
-    repeat = run(incremental=True)
+    repeat = run(naive=False)
     for candidate in (incremental, repeat):
         assert scheduling_fingerprint(naive) == scheduling_fingerprint(candidate), (
             "incremental bookkeeping changed a scheduling decision"

@@ -50,16 +50,12 @@ _DEFAULT_ALMOST_STARVED_THRESHOLD = 2
 class _BaseABM:
     """State and bookkeeping shared by the NSM and DSM buffer managers."""
 
-    def __init__(self, incremental: bool = True) -> None:
+    def __init__(self) -> None:
         self._handles: Dict[int, CScanHandle] = {}
-        #: Whether the relevance aggregates are maintained incrementally
-        #: (:mod:`repro.core.interest`); ``False`` falls back to the naive
-        #: recompute-from-scratch walks.  Both modes make bit-for-bit
-        #: identical scheduling decisions.
-        self.incremental = incremental
-        #: The interest tracker (set by the concrete ABM after binding the
-        #: policy, because the starvation thresholds come from the policy).
-        self.tracker: "Union[InterestTracker, DSMInterestTracker, None]" = None
+        #: The interest tracker (:mod:`repro.core.interest`) answering every
+        #: relevance aggregate; installed by the concrete ABM after binding
+        #: the policy, because the starvation thresholds come from the policy.
+        self.tracker: "Union[InterestTracker, DSMInterestTracker]"
         #: Number of I/O requests issued so far (NSM: one per chunk load,
         #: DSM: one per column block).
         self.io_requests: int = 0
@@ -137,8 +133,7 @@ class _BaseABM:
         # Every registered query gets an attribution entry, even if it never
         # triggers a load of its own; next_load can then bump it blindly.
         self.loads_triggered.setdefault(request.query_id, 0)
-        if self.tracker is not None:
-            self.tracker.on_register(handle)
+        self.tracker.on_register(handle)
         self._policy().on_register(handle, now)
         if self._obs is not None:
             self._obs.instant(
@@ -152,8 +147,7 @@ class _BaseABM:
         """Remove a (normally finished) query from the ABM."""
         handle = self._handle(query_id)
         del self._handles[query_id]
-        if self.tracker is not None:
-            self.tracker.on_unregister(handle)
+        self.tracker.on_unregister(handle)
         self._policy().on_unregister(handle, now)
         if self._obs is not None:
             self._obs.instant(
@@ -183,25 +177,22 @@ class _BaseABM:
 
     def interested_handles(self, chunk: int) -> List[CScanHandle]:
         """Handles that still need the given chunk (registration order)."""
-        if self.tracker is not None:
-            handles = self._handles
-            return [handles[qid] for qid in self.tracker.interested_ids(chunk)]
-        return [handle for handle in self._handles.values() if handle.is_interested(chunk)]
+        handles = self._handles
+        return [handles[qid] for qid in self.tracker.interested_ids(chunk)]
 
     def interested_count(self, chunk: int) -> int:
         """Number of registered scans that still need the given chunk."""
-        if self.tracker is not None:
-            return self.tracker.interested_count(chunk)
-        return sum(1 for handle in self._handles.values() if handle.is_interested(chunk))
+        return self.tracker.interested_count(chunk)
 
     # --------------------------------------------------------- starvation
     def _snapshot_thresholds(self) -> None:
         """Capture the starvation thresholds from the bound policy's
         :class:`RelevanceParameters` (falling back to the paper's defaults),
         so ablations of the threshold affect the whole starvation logic.
-        Snapshotting once at construction keeps the naive predicates and the
-        incremental tracker in agreement by construction; the parameters
-        dataclass is frozen, so they cannot legitimately change later."""
+        Snapshotting once at construction keeps the ABM's predicates and
+        the tracker's starvation counters in agreement by construction; the
+        parameters dataclass is frozen, so they cannot legitimately change
+        later."""
         parameters = getattr(self._policy(), "parameters", None)
         if parameters is not None:
             self._starvation_threshold = parameters.starvation_threshold
@@ -233,53 +224,47 @@ class _BaseABM:
     def starved_handles(self) -> List[CScanHandle]:
         """All registered scans that are currently starved (registration
         order)."""
-        if self.tracker is not None:
-            handles = self._handles
-            return [handles[qid] for qid in self.tracker.starved_ids_ordered()]
-        return [handle for handle in self._handles.values() if self.is_starved(handle)]
+        handles = self._handles
+        return [handles[qid] for qid in self.tracker.starved_ids_ordered()]
 
     def starved_interested_count(self, chunk: int) -> int:
         """Number of interested queries of the chunk that are starved (the
         ``Qmax``-weighted term of ``loadRelevance``)."""
-        if self.tracker is not None:
-            return self.tracker.starved_interested_count(chunk)
-        return sum(1 for handle in self.interested_handles(chunk) if self.is_starved(handle))
+        return self.tracker.starved_interested_count(chunk)
 
     def almost_starved_interested_count(self, chunk: int) -> int:
         """Number of interested queries of the chunk that are almost starved
         (the ``Qmax``-weighted term of ``keepRelevance``)."""
-        if self.tracker is not None:
-            return self.tracker.almost_starved_interested_count(chunk)
-        return sum(
-            1 for handle in self.interested_handles(chunk) if self.is_almost_starved(handle)
-        )
+        return self.tracker.almost_starved_interested_count(chunk)
+
+    def available_chunks(self, handle: CScanHandle) -> List[int]:
+        """Chunks the query could consume right now, in chunk order (NSM:
+        buffered; DSM: every needed column buffered)."""
+        return sorted(self.tracker.available_chunks(handle.query_id))
 
     def num_available_chunks(self, handle: CScanHandle) -> int:
         """Count of chunks the query could consume right now."""
-        raise NotImplementedError
+        return self.tracker.available_count(handle.query_id)
 
     def _policy(self):
         raise NotImplementedError
 
     def _vector_tracker_class(self):
-        """The vectorised tracker variant for this ABM (or ``None``)."""
-        return None
+        """The vectorised tracker variant for this ABM."""
+        raise NotImplementedError
 
     def enable_vector_interest(self) -> bool:
         """Swap the interest tracker for its numpy-counter variant.
 
         Called by the simulator when the numpy engine is selected, before
         any query registers.  Returns ``True`` when the vector tracker is
-        (now) active; ``False`` when it cannot be used (naive mode, or
-        numpy missing) — the caller then simply runs with scalar counters.
-        Both trackers make bit-for-bit identical decisions, so this is a
-        pure representation change.
+        (now) active; ``False`` when numpy is missing — the caller then
+        simply runs with scalar counters.  Both trackers make bit-for-bit
+        identical decisions, so this is a pure representation change.
         """
-        if not self.incremental or not vector_interest_available():
+        if not vector_interest_available():
             return False
         cls = self._vector_tracker_class()
-        if cls is None:
-            return False
         if isinstance(self.tracker, cls):
             return True
         if self._handles:
@@ -312,10 +297,6 @@ class ActiveBufferManager(_BaseABM):
     chunk_sizes:
         Optional per-chunk byte sizes (the last chunk of a table is usually
         smaller); defaults to ``chunk_bytes`` for every chunk.
-    incremental:
-        Maintain the relevance aggregates incrementally (the default); pass
-        ``False`` to fall back to the naive recompute-from-scratch walks
-        (same decisions, O(queries x chunks) per decision).
     """
 
     def __init__(
@@ -325,9 +306,8 @@ class ActiveBufferManager(_BaseABM):
         policy: "SchedulingPolicy",
         chunk_bytes: int,
         chunk_sizes: Optional[Sequence[int]] = None,
-        incremental: bool = True,
     ) -> None:
-        super().__init__(incremental=incremental)
+        super().__init__()
         if num_chunks < 1:
             raise SchedulingError("table must have at least one chunk")
         self.num_chunks = num_chunks
@@ -339,14 +319,13 @@ class ActiveBufferManager(_BaseABM):
         self.policy = policy
         policy.bind(self)
         self._snapshot_thresholds()
-        if incremental:
-            self.tracker = InterestTracker(
-                self.pool, self.starvation_threshold, self.almost_starved_threshold
-            )
-            # The pool drives availability updates (loads and evictions), so
-            # the tracker stays consistent even when a test or driver mutates
-            # the pool directly.
-            self.pool.listener = self.tracker
+        self.tracker = InterestTracker(
+            self.pool, self.starvation_threshold, self.almost_starved_threshold
+        )
+        # The pool drives availability updates (loads and evictions), so the
+        # tracker stays consistent even when a test or driver mutates the
+        # pool directly.
+        self.pool.listener = self.tracker
 
     def _policy(self) -> "SchedulingPolicy":
         return self.policy
@@ -360,18 +339,6 @@ class ActiveBufferManager(_BaseABM):
         if self._chunk_sizes is not None:
             return self._chunk_sizes[chunk]
         return self.chunk_bytes
-
-    def available_chunks(self, handle: CScanHandle) -> List[int]:
-        """Buffered chunks the query still needs (including the current one)."""
-        if self.tracker is not None and self.tracker.knows(handle.query_id):
-            return sorted(self.tracker.available_chunks(handle.query_id))
-        return [chunk for chunk in handle.needed if chunk in self.pool]
-
-    def num_available_chunks(self, handle: CScanHandle) -> int:
-        """Count of buffered chunks the query still needs."""
-        if self.tracker is not None and self.tracker.knows(handle.query_id):
-            return self.tracker.available_count(handle.query_id)
-        return sum(1 for chunk in handle.needed if chunk in self.pool)
 
     # ------------------------------------------------------------ data path
     def select_chunk(self, query_id: int, now: float) -> Optional[int]:
@@ -414,8 +381,7 @@ class ActiveBufferManager(_BaseABM):
         handle = self._handle(query_id)
         chunk = handle.finish_chunk(now)
         self.pool.unpin(chunk, now)
-        if self.tracker is not None:
-            self.tracker.on_chunk_finished(handle, chunk)
+        self.tracker.on_chunk_finished(handle, chunk)
         self.policy.on_chunk_consumed(handle, chunk, now)
         if self._obs is not None:
             self._obs_starvation_update(handle, now)
@@ -516,9 +482,8 @@ class DSMActiveBufferManager(_BaseABM):
         layout: DSMTableLayout,
         capacity_pages: int,
         policy: "DSMSchedulingPolicy",
-        incremental: bool = True,
     ) -> None:
-        super().__init__(incremental=incremental)
+        super().__init__()
         self.layout = layout
         self.num_chunks = layout.num_chunks
         self.pool = DSMBlockPool(capacity_pages)
@@ -530,11 +495,10 @@ class DSMActiveBufferManager(_BaseABM):
         self._block_pages_cache: Dict[BlockKey, int] = {}
         policy.bind(self)
         self._snapshot_thresholds()
-        if incremental:
-            self.tracker = DSMInterestTracker(
-                self.pool, self.starvation_threshold, self.almost_starved_threshold
-            )
-            self.pool.listener = self.tracker
+        self.tracker = DSMInterestTracker(
+            self.pool, self.starvation_threshold, self.almost_starved_threshold
+        )
+        self.pool.listener = self.tracker
 
     def _policy(self) -> "DSMSchedulingPolicy":
         return self.policy
@@ -573,26 +537,10 @@ class DSMActiveBufferManager(_BaseABM):
             for column in self.missing_columns(chunk, columns)
         )
 
-    def available_chunks(self, handle: CScanHandle) -> List[int]:
-        """Chunks the query still needs whose required columns are all buffered."""
-        if self.tracker is not None and self.tracker.knows(handle.query_id):
-            return sorted(self.tracker.available_chunks(handle.query_id))
-        return [chunk for chunk in handle.needed if self.chunk_ready(handle, chunk)]
-
-    def num_available_chunks(self, handle: CScanHandle) -> int:
-        """Count of ready chunks for the query."""
-        if self.tracker is not None and self.tracker.knows(handle.query_id):
-            return self.tracker.available_count(handle.query_id)
-        return sum(1 for chunk in handle.needed if self.chunk_ready(handle, chunk))
-
     def cached_pages_for(self, handle: CScanHandle, chunk: int) -> int:
         """Buffered pages of the query's columns for one needed chunk (the
         ``useRelevance`` numerator and the reservation criterion)."""
-        if self.tracker is not None:
-            pages = self.tracker.cached_pages(handle.query_id, chunk)
-            if pages is not None:
-                return pages
-        return self.pool.chunk_cached_pages(chunk, handle.columns)
+        return self.tracker.cached_pages(handle.query_id, chunk)
 
     def overlapping_handles(self, chunk: int, columns: Iterable[str]) -> List[CScanHandle]:
         """Handles interested in ``chunk`` that share at least one column with
@@ -646,8 +594,7 @@ class DSMActiveBufferManager(_BaseABM):
         handle.finish_chunk(now)
         for column in handle.columns:
             self.pool.unpin((chunk, column), now)
-        if self.tracker is not None:
-            self.tracker.on_chunk_finished(handle, chunk)
+        self.tracker.on_chunk_finished(handle, chunk)
         self.policy.on_chunk_consumed(handle, chunk, now)
         if self._obs is not None:
             self._obs_starvation_update(handle, now)

@@ -20,7 +20,7 @@ Maintained aggregates:
 
 ``interested_ids(chunk)`` / ``interested_count(chunk)``
     The registered queries that still need a chunk, in registration order
-    (the order the naive ``interested_handles`` walk produces).
+    (the order a walk over the ABM's registered handles produces).
 
 ``available_chunks(qid)`` / ``available_count(qid)``
     The buffered (NSM) or ready (DSM: every needed column buffered) chunks
@@ -39,13 +39,15 @@ A query's starvation state only changes when its available count crosses the
 policy threshold, so the per-chunk starved counters are updated lazily: a
 threshold crossing costs O(chunks the query still needs), everything else is
 O(interested queries of the touched chunk).  The trackers are exact mirrors
-of the naive recomputation — the golden-trace equivalence tests assert
-bit-for-bit identical scheduling decisions with the trackers on and off.
+of a from-scratch recomputation: ``tests/naive_relevance.py`` keeps that
+recomputation as a reference oracle (a tracker that walks the registered
+handles and the pool on every query), and the golden-trace equivalence
+tests assert bit-for-bit identical scheduling decisions against it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set
 
 try:  # pragma: no cover - exercised implicitly by the vector trackers
     import numpy as _np
@@ -71,7 +73,7 @@ class _InterestBase:
         self._almost_at = almost_starved_threshold
         self._handles: Dict[int, "CScanHandle"] = {}
         #: Registration sequence of each query; ties and orderings everywhere
-        #: follow registration order, matching the naive walks over the ABM's
+        #: follow registration order, matching a walk over the ABM's
         #: insertion-ordered handle dict.
         self._seq: Dict[int, int] = {}
         self._next_seq = 0
@@ -91,10 +93,6 @@ class _InterestBase:
         self._almost_interest: Dict[int, int] = {}
 
     # ------------------------------------------------------------- queries
-    def knows(self, query_id: int) -> bool:
-        """Whether the query is currently tracked (registered)."""
-        return query_id in self._avail
-
     def interested_ids(self, chunk: int) -> List[int]:
         """Interested query ids in registration order."""
         ids = self._interest.get(chunk)
@@ -341,14 +339,9 @@ class DSMInterestTracker(_InterestBase):
                 self._avail[qid].discard(chunk)
                 self._refresh_flags(self._handles[qid])
 
-    def cached_pages(self, query_id: int, chunk: int) -> Optional[int]:
-        """Buffered pages of the query's columns for a needed chunk, or
-        ``None`` when the pair is not tracked (caller falls back to the
-        pool walk)."""
-        per_chunk = self._cached.get(query_id)
-        if per_chunk is None:
-            return None
-        return per_chunk.get(chunk)
+    def cached_pages(self, query_id: int, chunk: int) -> int:
+        """Buffered pages of the query's columns for a needed chunk."""
+        return self._cached[query_id][chunk]
 
 
 class _VectorInterestMixin:

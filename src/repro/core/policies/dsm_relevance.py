@@ -19,7 +19,7 @@ becomes column- and size-aware, and three DSM-specific mechanisms are added
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bufman.slots import BlockKey
 from repro.core.cscan import CScanHandle
@@ -133,18 +133,9 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
         self.scheduling_calls += 1
-        abm = self.abm
-        if abm.incremental:
-            # The tracker maintains the ready bucket (all needed columns
-            # buffered); the naive path re-probes every needed chunk.
-            candidates: Iterable[int] = abm.available_chunks(handle)
-        else:
-            candidates = (
-                chunk for chunk in handle.needed if abm.chunk_ready(handle, chunk)
-            )
         best_chunk: Optional[int] = None
         best_score = -math.inf
-        for chunk in candidates:
+        for chunk in self.abm.available_chunks(handle):
             score = self.use_relevance(chunk, handle)
             if score > best_score or (
                 score == best_score and best_chunk is not None and chunk < best_chunk
@@ -161,9 +152,10 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         abm = self.abm
         best_chunk: Optional[int] = None
         best_cached = 0
-        # Iterate ``needed`` itself in both modes: the strictly-greater
-        # comparison makes the winner depend on set iteration order, which
-        # must stay identical between naive and incremental runs.
+        # Iterate ``needed`` itself, not the tracker's state: the
+        # strictly-greater comparison makes the winner depend on set
+        # iteration order, which must be the same whichever tracker answers
+        # (the incremental ones or the ``tests/naive_relevance.py`` oracle).
         for chunk in handle.needed:
             cached = abm.cached_pages_for(handle, chunk)
             if cached > best_cached:
@@ -191,15 +183,9 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
     # ----------------------------------------------------------------- loads
     def choose_load(self, now: float) -> Optional[Tuple[int, int, Tuple[str, ...]]]:
         self.scheduling_calls += 1
-        abm = self.abm
-        if abm.incremental:
-            starved = [handle for handle in abm.starved_handles() if not handle.finished]
-        else:
-            starved = [
-                handle
-                for handle in abm.active_handles()
-                if not handle.finished and self.query_starved(handle)
-            ]
+        starved = [
+            handle for handle in self.abm.starved_handles() if not handle.finished
+        ]
         if not starved:
             return None
         starved.sort(key=lambda handle: self.query_relevance(handle, now), reverse=True)

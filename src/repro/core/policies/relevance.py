@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 try:  # pragma: no cover - exercised implicitly by the vector paths
     import numpy as _np
@@ -140,6 +140,12 @@ class RelevancePolicy(SchedulingPolicy):
         #: deltas in ``RunResult.scheduling_calls``.
         self.scheduling_calls: int = 0
 
+    def bind(self, abm) -> None:
+        super().bind(abm)
+        # A reused policy must resolve the new ABM's tracker, not keep the
+        # previous run's.
+        self._vector_tracker_cache = False
+
     # -------------------------------------------------------- starvation
     def _available_count(self, handle: CScanHandle) -> int:
         return self.abm.num_available_chunks(handle)
@@ -187,7 +193,8 @@ class RelevancePolicy(SchedulingPolicy):
         """``loadRelevance``: which chunk to load for the chosen query.
 
         Both terms are maintained incrementally by the ABM's interest
-        tracker (O(1) reads); the naive ABM recomputes them with full walks.
+        tracker (O(1) reads); ``tests/naive_relevance.py`` recomputes them
+        with full walks as the reference oracle.
         """
         abm = self.abm
         return (
@@ -211,16 +218,17 @@ class RelevancePolicy(SchedulingPolicy):
     # smallest chunk id in both forms, so the decisions are bit-identical —
     # the vector-engine golden-trace tests pin that.
     #: Sentinel meaning "vector tracker not yet resolved" (class-level; the
-    #: resolution is cached per policy instance on first use — the tracker
-    #: is installed before any query registers and never swapped afterwards).
+    #: resolution is cached per policy instance on first use and reset by
+    #: :meth:`bind` — the tracker is installed before any query registers
+    #: and never swapped afterwards).
     _vector_tracker_cache = False
 
     def _vector_tracker(self):
         cached = self._vector_tracker_cache
         if cached is not False:
             return cached
-        tracker = getattr(self.abm, "tracker", None)
-        if tracker is None or not getattr(tracker, "vectorized", False):
+        tracker = self.abm.tracker
+        if not getattr(tracker, "vectorized", False):
             tracker = None
         # Only the NSM tracker carries the buffered/loading masks the load
         # path needs; duck-check instead of importing the class.
@@ -285,20 +293,12 @@ class RelevancePolicy(SchedulingPolicy):
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
         self.scheduling_calls += 1
-        abm = self.abm
         tracker = self._vector_tracker()
-        if tracker is not None and tracker.knows(handle.query_id):
+        if tracker is not None:
             return self._vector_select(tracker, handle)
-        if abm.incremental:
-            # The tracker maintains exactly the buffered-and-needed bucket;
-            # the naive path rediscovers it by probing the pool per chunk.
-            candidates: Iterable[int] = abm.available_chunks(handle)
-        else:
-            pool = abm.pool
-            candidates = (chunk for chunk in handle.needed if chunk in pool)
         best_chunk: Optional[int] = None
         best_score = -math.inf
-        for chunk in candidates:
+        for chunk in self.abm.available_chunks(handle):
             score = self.use_relevance(chunk)
             if score > best_score or (score == best_score and best_chunk is not None and chunk < best_chunk):
                 best_score = score
@@ -308,17 +308,9 @@ class RelevancePolicy(SchedulingPolicy):
     # ----------------------------------------------------------------- loads
     def choose_load(self, now: float) -> Optional[Tuple[int, int]]:
         self.scheduling_calls += 1
-        abm = self.abm
-        if abm.incremental:
-            # Registration-ordered starved set, maintained incrementally —
-            # identical to filtering the full handle walk below.
-            starved = [handle for handle in abm.starved_handles() if not handle.finished]
-        else:
-            starved = [
-                handle
-                for handle in abm.active_handles()
-                if not handle.finished and self.query_starved(handle)
-            ]
+        starved = [
+            handle for handle in self.abm.starved_handles() if not handle.finished
+        ]
         if not starved:
             return None
         starved.sort(key=lambda handle: self.query_relevance(handle, now), reverse=True)
@@ -332,7 +324,7 @@ class RelevancePolicy(SchedulingPolicy):
         """``chooseChunkToLoad``: the not-yet-buffered chunk with the highest
         load relevance among those the query still needs."""
         tracker = self._vector_tracker()
-        if tracker is not None and tracker.knows(handle.query_id):
+        if tracker is not None:
             return self._vector_choose_load(tracker, handle)
         pool = self.abm.pool
         best_chunk: Optional[int] = None
@@ -355,7 +347,7 @@ class RelevancePolicy(SchedulingPolicy):
         pool = abm.pool
         trigger = abm.handle(trigger_query)
         tracker = self._vector_tracker()
-        if tracker is not None and tracker.knows(trigger_query):
+        if tracker is not None:
             return self._vector_evictions(tracker, trigger)
 
         def eligible(chunk: int, protect_starved: bool) -> bool:

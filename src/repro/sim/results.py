@@ -184,9 +184,10 @@ def scheduling_fingerprint(result: RunResult) -> tuple:
     """Everything scheduling decisions can influence, as one comparable value.
 
     Used by the golden-trace equivalence tests and the scheduling-overhead
-    benchmark to assert that the incremental bookkeeping makes bit-for-bit
-    the same decisions as the naive walks: per-query timings, attribution
-    and delivery orders, per-stream timings, and the raw I/O trace.
+    benchmark to assert that the incremental interest trackers make
+    bit-for-bit the same decisions as the recompute-from-scratch oracle in
+    ``tests/naive_relevance.py``: per-query timings, attribution and
+    delivery orders, per-stream timings, and the raw I/O trace.
     """
     queries = [
         (

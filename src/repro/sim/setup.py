@@ -17,15 +17,12 @@ def make_nsm_abm(
     config: SystemConfig,
     policy: Union[str, SchedulingPolicy],
     capacity_chunks: Optional[int] = None,
-    incremental: bool = True,
     **policy_kwargs,
 ) -> ActiveBufferManager:
     """Build an NSM Active Buffer Manager for a table layout.
 
     ``policy`` may be a policy name (``"normal"``, ``"attach"``,
     ``"elevator"``, ``"relevance"``) or an already-constructed policy object.
-    ``incremental=False`` selects the naive (recompute-from-scratch)
-    relevance bookkeeping; decisions are identical either way.
     """
     if isinstance(policy, str):
         policy_obj = make_policy(policy, **policy_kwargs)
@@ -39,7 +36,6 @@ def make_nsm_abm(
         policy=policy_obj,
         chunk_bytes=layout.chunk_bytes,
         chunk_sizes=chunk_sizes,
-        incremental=incremental,
     )
 
 
@@ -48,7 +44,6 @@ def make_dsm_abm(
     config: SystemConfig,
     policy: Union[str, DSMSchedulingPolicy],
     capacity_pages: Optional[int] = None,
-    incremental: bool = True,
     **policy_kwargs,
 ) -> DSMActiveBufferManager:
     """Build a DSM Active Buffer Manager for a column-store layout."""
@@ -62,7 +57,6 @@ def make_dsm_abm(
         layout=layout,
         capacity_pages=capacity_pages,
         policy=policy_obj,
-        incremental=incremental,
     )
 
 

@@ -2,10 +2,11 @@
 
 Beyond the golden-trace equivalence suite (which proves end-to-end that the
 trackers change no scheduling decision), these tests cross-check the
-maintained aggregates against a naive recomputation after every lifecycle
-event, and pin the satellite fixes: the ABM's starvation predicates follow
-the bound policy's ``RelevanceParameters`` instead of a hardcoded 2, and
-``loads_triggered`` has an entry for every registered query.
+maintained aggregates against the recompute-from-scratch oracle in
+``tests/naive_relevance.py`` after every lifecycle event, and pin the
+satellite fixes: the ABM's starvation predicates follow the bound policy's
+``RelevanceParameters`` instead of a hardcoded 2, and ``loads_triggered``
+has an entry for every registered query.
 """
 
 from __future__ import annotations
@@ -21,49 +22,78 @@ from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
 
 from tests.conftest import make_request
+from tests.naive_relevance import NaiveTracker, use_naive_bookkeeping
+
+#: Parametrisation over the two bookkeeping paths: the ABM's own tracker
+#: and the recompute-from-scratch oracle.
+BOOKKEEPING = pytest.mark.parametrize(
+    "naive", [False, True], ids=["incremental", "naive"]
+)
 
 
-def _nsm_abm(num_chunks=16, capacity=4, incremental=True, parameters=None):
+def _nsm_abm(num_chunks=16, capacity=4, naive=False, parameters=None):
     policy = make_policy("relevance", parameters=parameters)
-    return ActiveBufferManager(
+    abm = ActiveBufferManager(
         num_chunks=num_chunks,
         capacity_chunks=capacity,
         policy=policy,
         chunk_bytes=1 << 20,
-        incremental=incremental,
     )
+    return use_naive_bookkeeping(abm) if naive else abm
 
 
-def _check_consistency(abm: ActiveBufferManager) -> None:
-    """Every tracker aggregate must equal its naive recomputation."""
+def _check_consistency(abm) -> None:
+    """Every tracker aggregate must equal the oracle's recomputation."""
     tracker = abm.tracker
-    assert tracker is not None
-    handles = abm.active_handles()
+    oracle = NaiveTracker(abm)
     for chunk in range(abm.num_chunks):
-        naive_interested = [h for h in handles if h.is_interested(chunk)]
-        assert tracker.interested_count(chunk) == len(naive_interested)
-        assert tracker.interested_ids(chunk) == [
-            h.query_id for h in naive_interested
-        ]
-        naive_starved = sum(
-            1
-            for h in naive_interested
-            if sum(1 for c in h.needed if c in abm.pool) < abm.starvation_threshold
+        assert tracker.interested_count(chunk) == oracle.interested_count(chunk)
+        assert tracker.interested_ids(chunk) == oracle.interested_ids(chunk)
+        assert tracker.starved_interested_count(
+            chunk
+        ) == oracle.starved_interested_count(chunk)
+        assert tracker.almost_starved_interested_count(
+            chunk
+        ) == oracle.almost_starved_interested_count(chunk)
+    assert tracker.starved_ids_ordered() == oracle.starved_ids_ordered()
+    for handle in abm.active_handles():
+        query_id = handle.query_id
+        assert tracker.available_chunks(query_id) == oracle.available_chunks(query_id)
+        assert tracker.available_count(query_id) == oracle.available_count(query_id)
+        assert tracker.is_starved(query_id) == oracle.is_starved(query_id)
+        assert tracker.is_almost_starved(query_id) == oracle.is_almost_starved(
+            query_id
         )
-        naive_almost = sum(
-            1
-            for h in naive_interested
-            if sum(1 for c in h.needed if c in abm.pool)
-            <= abm.almost_starved_threshold
-        )
-        assert tracker.starved_interested_count(chunk) == naive_starved
-        assert tracker.almost_starved_interested_count(chunk) == naive_almost
-    for handle in handles:
-        naive_avail = {c for c in handle.needed if c in abm.pool}
-        assert tracker.available_chunks(handle.query_id) == naive_avail
-        assert tracker.is_starved(handle.query_id) == (
-            len(naive_avail) < abm.starvation_threshold
-        )
+        if isinstance(abm, DSMActiveBufferManager):
+            for chunk in handle.needed:
+                assert tracker.cached_pages(query_id, chunk) == oracle.cached_pages(
+                    query_id, chunk
+                )
+
+
+def _drive(abm, query_ids, steps=40) -> None:
+    """Run loads, consumption and unregistration through the ABM, checking
+    the tracker against the oracle after every step."""
+    _check_consistency(abm)
+    for step in range(steps):
+        operation = abm.next_load(now=float(step))
+        if operation is not None:
+            abm.complete_load(operation, now=float(step) + 0.1)
+        _check_consistency(abm)
+        for query_id in query_ids:
+            if abm.handle(query_id).finished:
+                continue
+            chunk = abm.select_chunk(query_id, now=float(step) + 0.2)
+            _check_consistency(abm)
+            if chunk is not None:
+                abm.finish_chunk(query_id, now=float(step) + 0.3)
+                _check_consistency(abm)
+        if all(abm.handle(query_id).finished for query_id in query_ids):
+            break
+    for query_id in query_ids:
+        if abm.handle(query_id).finished:
+            abm.unregister(query_id, now=99.0)
+            _check_consistency(abm)
 
 
 class TestInterestTracker:
@@ -71,29 +101,27 @@ class TestInterestTracker:
         abm = _nsm_abm()
         abm.register(make_request(1, range(0, 8)), now=0.0)
         abm.register(make_request(2, range(4, 12)), now=0.0)
-        _check_consistency(abm)
-        # Drive loads, consumption and evictions through the ABM and verify
-        # the aggregates after every step.
-        for step in range(20):
-            operation = abm.next_load(now=float(step))
-            if operation is not None:
-                abm.complete_load(operation, now=float(step) + 0.1)
-            _check_consistency(abm)
-            for query_id in (1, 2):
-                handle = abm.handle(query_id)
-                if handle.finished:
-                    continue
-                chunk = abm.select_chunk(query_id, now=float(step) + 0.2)
-                _check_consistency(abm)
-                if chunk is not None:
-                    abm.finish_chunk(query_id, now=float(step) + 0.3)
-                    _check_consistency(abm)
-            if abm.handle(1).finished and abm.handle(2).finished:
-                break
-        for query_id in (1, 2):
-            if abm.handle(query_id).finished:
-                abm.unregister(query_id, now=99.0)
-                _check_consistency(abm)
+        _drive(abm, (1, 2), steps=20)
+
+    def test_dsm_aggregates_track_full_lifecycle(self, dsm_layout):
+        """The DSM tracker (ready chunks, cached pages per needed chunk)
+        agrees with the oracle through loads, evictions and consumption."""
+        abm = DSMActiveBufferManager(
+            layout=dsm_layout,
+            capacity_pages=64,
+            policy=make_dsm_policy("relevance"),
+        )
+        abm.register(
+            make_request(1, range(0, 10), columns=("key", "price")), now=0.0
+        )
+        abm.register(
+            make_request(2, range(5, 15), columns=("price", "flag")), now=0.0
+        )
+        abm.register(make_request(3, range(0, 15), columns=("ref",)), now=0.0)
+        _drive(abm, (1, 2, 3))
+        # Every query finished and left, and the small pool had to evict.
+        assert abm.num_active() == 0
+        assert abm.pool.evictions > 0
 
     def test_direct_pool_mutation_keeps_tracker_consistent(self):
         abm = _nsm_abm()
@@ -118,24 +146,34 @@ class TestInterestTracker:
         assert abm.is_starved(handle)
         _check_consistency(abm)
 
-    def test_naive_mode_has_no_tracker(self):
-        abm = _nsm_abm(incremental=False)
-        assert abm.tracker is None
-        assert abm.incremental is False
+    def test_naive_oracle_is_pinned(self):
+        """The oracle replaces the tracker, stops listening to the pool and
+        survives the simulator's numpy-engine tracker swap."""
+        abm = _nsm_abm(naive=True)
+        assert isinstance(abm.tracker, NaiveTracker)
+        assert abm.pool.listener is None
+        assert abm.enable_vector_interest() is False
+        assert isinstance(abm.tracker, NaiveTracker)
         abm.register(make_request(1, range(0, 4)), now=0.0)
         assert abm.num_available_chunks(abm.handle(1)) == 0
+
+    def test_oracle_must_precede_registration(self):
+        abm = _nsm_abm()
+        abm.register(make_request(1, range(0, 4)), now=0.0)
+        with pytest.raises(ValueError, match="before any query registers"):
+            use_naive_bookkeeping(abm)
 
 
 class TestStarvationThresholdRouting:
     """Satellite fix: ``is_starved``/``is_almost_starved``/``starved_handles``
     follow the bound policy's parameters instead of a hardcoded 2."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_threshold_three_starves_with_two_available(self, incremental):
+    @BOOKKEEPING
+    def test_threshold_three_starves_with_two_available(self, naive):
         parameters = RelevanceParameters(
             starvation_threshold=3, almost_starved_threshold=3
         )
-        abm = _nsm_abm(incremental=incremental, parameters=parameters)
+        abm = _nsm_abm(naive=naive, parameters=parameters)
         assert abm.starvation_threshold == 3
         assert abm.almost_starved_threshold == 3
         handle = abm.register(make_request(1, range(0, 8)), now=0.0)
@@ -153,15 +191,16 @@ class TestStarvationThresholdRouting:
         assert not abm.is_starved(handle)
         assert abm.is_almost_starved(handle)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_default_threshold_without_parameters(self, incremental):
+    @BOOKKEEPING
+    def test_default_threshold_without_parameters(self, naive):
         abm = ActiveBufferManager(
             num_chunks=8,
             capacity_chunks=4,
             policy=make_policy("elevator"),
             chunk_bytes=1 << 20,
-            incremental=incremental,
         )
+        if naive:
+            use_naive_bookkeeping(abm)
         assert abm.starvation_threshold == 2
         assert abm.almost_starved_threshold == 2
 
