@@ -186,7 +186,8 @@ def environment_provenance() -> Dict[str, object]:
     every ``BENCH_core.json`` write stamps the interpreter version, the
     numpy version backing the vector engine (``None`` when numpy is absent
     and the scalar engine was the only option), and the machine's CPU
-    count (which bounds what ``workers=N`` can deliver).
+    count (wall-clock rows from hosts with different core counts are not
+    comparable).
     """
     try:
         import numpy

@@ -20,6 +20,14 @@ asserted deterministically:
 * **relevance sustains at least the no-sharing load at every shard
   count** — cooperative scanning keeps paying inside each shard.
 
+A second, fixed load point (relevance, NSM, 512 chunks) measures the
+lockstep driver itself at 8/16/32/64 shards.  The benchmark wraps
+``ScanSimulator.next_step_time`` and ``ScanSimulator.step`` to count probes
+and steps and reads the runner's round count; the driver re-probes only
+shards that stepped or were touched, so **probes per step stay at or below
+1.5 at every shard count** (asserted) — per-round driver cost follows the
+shards that have work, not the fleet size.
+
 Run it under pytest-benchmark like the other benchmarks, or standalone
 (which also writes ``benchmarks/out/cluster_scaling_results.json`` for CI
 artifacts)::
@@ -32,9 +40,10 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 
 from benchmarks._harness import print_banner, run_once, update_bench_core
-from repro.cluster import ShardMap, compare_cluster_policies
+from repro.cluster import ShardMap, compare_cluster_policies, run_cluster_service
 from repro.common.config import (
     BufferConfig,
     ClusterConfig,
@@ -44,6 +53,8 @@ from repro.common.config import (
 )
 from repro.common.units import KB, MB
 from repro.service import poisson_arrivals
+from repro.sim.lockstep import LockstepRunner
+from repro.sim.runner import ScanSimulator
 from repro.sim.setup import make_dsm_abm, make_nsm_abm
 from repro.storage.compression import NONE, PDICT, PFOR, PFOR_DELTA
 from repro.storage.dsm import DSMTableLayout
@@ -73,6 +84,14 @@ ARRIVAL_SEED = 20
 #: p95 SLO = this multiple of no-sharing's light-load p95 on one shard.
 SLO_FACTOR = 1.5
 
+#: The driver-cost load point: shard counts, table size (chunks), queries
+#: and offered load (queries/s), plus the asserted re-probe budget.
+DRIVER_SHARD_COUNTS = (8, 16, 32, 64)
+DRIVER_CHUNKS = 512
+DRIVER_QUERIES = 200
+DRIVER_LOAD = 20.0
+MAX_PROBES_PER_STEP = 1.5
+
 #: Where the standalone run writes its machine-readable results.
 JSON_PATH = os.environ.get(
     "REPRO_CLUSTER_JSON",
@@ -91,13 +110,13 @@ def _config() -> SystemConfig:
     )
 
 
-def _nsm_case(config: SystemConfig):
+def _nsm_case(config: SystemConfig, num_chunks: int = NUM_CHUNKS):
     schema = TableSchema.build(
         "cluster_nsm", [ColumnSpec(name, DataType.INT64) for name in "abcd"]
     )
     tuples_per_chunk = int(config.buffer.chunk_bytes // schema.tuple_logical_bytes)
     layout = NSMTableLayout.from_buffer_config(
-        schema, NUM_CHUNKS * tuples_per_chunk, config.buffer
+        schema, num_chunks * tuples_per_chunk, config.buffer
     )
     fast = QueryFamily("F", cpu_per_chunk=0.002)
     slow = QueryFamily("S", cpu_per_chunk=0.008)
@@ -232,6 +251,96 @@ def _experiment():
     return results, core
 
 
+@contextmanager
+def _driver_counters():
+    """Count lockstep probes, steps and rounds for the enclosed runs."""
+    counts = {"probes": 0, "steps": 0, "rounds": 0}
+    probe, step, run = (
+        ScanSimulator.next_step_time, ScanSimulator.step, LockstepRunner.run
+    )
+
+    def counted_probe(self):
+        counts["probes"] += 1
+        return probe(self)
+
+    def counted_step(self, now):
+        counts["steps"] += 1
+        return step(self, now)
+
+    def counted_run(self):
+        results = run(self)
+        counts["rounds"] += self.rounds
+        return results
+
+    ScanSimulator.next_step_time = counted_probe
+    ScanSimulator.step = counted_step
+    LockstepRunner.run = counted_run
+    try:
+        yield counts
+    finally:
+        ScanSimulator.next_step_time = probe
+        ScanSimulator.step = step
+        LockstepRunner.run = run
+
+
+def _driver_cost():
+    """Probes, steps and rounds of one relevance load point per shard count."""
+    config = _config()
+    layout, templates, shard_abms = _nsm_case(config, DRIVER_CHUNKS)
+    arrivals = poisson_arrivals(
+        templates, layout, DRIVER_LOAD, DRIVER_QUERIES, seed=ARRIVAL_SEED
+    )
+    rows = []
+    for shards in DRIVER_SHARD_COUNTS:
+        cluster = ClusterConfig(
+            shards=shards, placement="range", mpl_per_shard=MPL_PER_SHARD
+        )
+        shard_map = ShardMap.from_cluster_config(cluster, DRIVER_CHUNKS)
+        abms = shard_abms(shard_map, "relevance")
+        started = time.perf_counter()
+        with _driver_counters() as counts:
+            result = run_cluster_service(arrivals, config, abms, cluster)
+        assert result.slo.completed == DRIVER_QUERIES
+        rows.append(
+            {
+                "shards": shards,
+                "wall_clock_s": round(time.perf_counter() - started, 4),
+                **counts,
+                "probes_per_step": round(counts["probes"] / counts["steps"], 4),
+                "probes_per_round": round(counts["probes"] / counts["rounds"], 4),
+                "steps_per_round": round(counts["steps"] / counts["rounds"], 4),
+            }
+        )
+    return rows
+
+
+def _report_driver(rows) -> None:
+    from repro.metrics.report import format_table
+
+    print(
+        format_table(
+            ["shards", "rounds", "steps", "probes", "probes/step",
+             "probes/round", "steps/round", "wall s"],
+            [
+                [row["shards"], row["rounds"], row["steps"], row["probes"],
+                 row["probes_per_step"], row["probes_per_round"],
+                 row["steps_per_round"], row["wall_clock_s"]]
+                for row in rows
+            ],
+            title=(
+                f"Lockstep driver cost: relevance, {DRIVER_QUERIES} queries "
+                f"at {DRIVER_LOAD} q/s over {DRIVER_CHUNKS} chunks"
+            ),
+        )
+    )
+    for row in rows:
+        # Only stepped or touched shards are re-probed, never the fleet.
+        assert row["probes_per_step"] <= MAX_PROBES_PER_STEP, (
+            f"{row['shards']} shards: {row['probes_per_step']} probes per "
+            f"step; need <= {MAX_PROBES_PER_STEP}"
+        )
+
+
 def _slo_threshold(surface) -> float:
     """The fixed p95 bar: SLO_FACTOR x no-sharing light-load p95, 1 shard."""
     lightest = min(surface[1])
@@ -323,7 +432,7 @@ def _report(results):
         )
 
 
-def _write_json(results) -> None:
+def _write_json(results, driver_rows) -> None:
     payload = {
         "workload": {
             "num_chunks": NUM_CHUNKS,
@@ -348,6 +457,16 @@ def _write_json(results) -> None:
                 for shards, per_load in surface.items()
             }
             for layout_name, surface in results.items()
+        },
+        "driver_cost": {
+            "workload": {
+                "policy": "relevance",
+                "num_chunks": DRIVER_CHUNKS,
+                "num_queries": DRIVER_QUERIES,
+                "offered_load": DRIVER_LOAD,
+                "max_probes_per_step": MAX_PROBES_PER_STEP,
+            },
+            "rows": driver_rows,
         },
     }
     directory = os.path.dirname(JSON_PATH)
@@ -381,11 +500,14 @@ def _write_bench_core(core) -> None:
 def bench_cluster_scaling(benchmark):
     results, core = run_once(benchmark, _experiment)
     _report(results)
+    _report_driver(_driver_cost())
     _write_bench_core(core)
 
 
 if __name__ == "__main__":
     results, core = _experiment()
     _report(results)
-    _write_json(results)
+    driver_rows = _driver_cost()
+    _report_driver(driver_rows)
+    _write_json(results, driver_rows)
     _write_bench_core(core)

@@ -1,28 +1,16 @@
-"""Vectorized + parallel simulation core: wall-clock trajectory.
+"""Vectorized simulation core: wall-clock trajectory of the numpy engine.
 
-Two sweeps, both pinned to golden-trace equivalence before any number is
-reported:
+The same closed-stream workload runs with ``engine="scalar"`` and
+``engine="numpy"`` across a growing (queries x chunks) grid.  Every pair
+must produce identical scheduling fingerprints before any number is
+reported; at the largest point the numpy engine must be at least **3x**
+faster end to end.  The win is algorithmic, not numeric: the relevance
+policy's argmin/argmax over candidate chunks becomes a masked C-side
+reduction over the interest tracker's dense counters, so the gap widens
+with buffer capacity and concurrent-query count.
 
-* **Engine sweep** (single node): the same closed-stream workload run with
-  ``engine="scalar"`` and ``engine="numpy"`` across a growing
-  (queries x chunks) grid.  Every pair must produce identical scheduling
-  fingerprints; at the largest point the numpy engine must be at least
-  **3x** faster end to end.  The win is algorithmic, not numeric: the
-  relevance policy's argmin/argmax over candidate chunks becomes a masked
-  C-side reduction over the interest tracker's dense counters, so the gap
-  widens with buffer capacity and concurrent-query count.
-
-* **Worker sweep** (fleet): a fleet of self-contained shard simulators
-  driven by :class:`repro.sim.lockstep.LockstepRunner` with ``workers=1``
-  versus ``workers=4``.  Per-shard results must be identical; at 16 shards
-  ``workers=4`` must be at least **2x** faster.  The parallel path removes
-  the serial driver's per-round cross-shard probing *and* overlaps shard
-  execution across processes, so the ratio grows with both fleet size and
-  host core count (the stamped ``environment.cpu_count`` says what the
-  host could offer).
-
-The headline rows (queries x chunks x shards -> seconds) merge into the
-repo-root ``BENCH_core.json`` under the ``vector_core`` section, with the
+The headline rows (queries x chunks -> seconds) merge into the repo-root
+``BENCH_core.json`` under the ``vector_core`` section, with the
 environment (python/numpy/CPU count) stamped at the top level.
 
 Run under pytest-benchmark like the other benchmarks, or standalone::
@@ -42,11 +30,9 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.units import KB, MB
-from repro.sim.lockstep import LockstepRunner
 from repro.sim.results import scheduling_fingerprint
-from repro.sim.runner import ScanSimulator, run_simulation
+from repro.sim.runner import run_simulation
 from repro.sim.setup import make_nsm_abm
-from repro.sim.source import ClosedStreamSource
 from repro.sim.vector import numpy_available
 from repro.storage.nsm import NSMTableLayout
 from repro.storage.schema import ColumnSpec, DataType, TableSchema
@@ -71,13 +57,7 @@ else:
 
 QUERIES_PER_STREAM = 2
 
-#: (shards, streams_per_shard) of the worker sweep; the last entry carries
-#: the >= 2x assertion.
-FLEET_GRID = ((4, 16), (16, 16))
-FLEET_WORKERS = (1, 4)
-
 ENGINE_SPEEDUP_FLOOR = 3.0
-WORKER_SPEEDUP_FLOOR = 2.0
 
 
 def _system(cores: int, capacity_chunks: int) -> SystemConfig:
@@ -124,41 +104,6 @@ def _engine_case(streams_n: int, capacity: int, chunks: int, cores: int):
     return run
 
 
-def _fleet_case(shards: int, streams_n: int):
-    """One fleet scenario: ``shards`` independent simulators."""
-    config = SystemConfig(
-        disk=DiskConfig(
-            bandwidth_bytes_per_s=200 * MB,
-            avg_seek_s=0.002,
-            sequential_seek_s=0.0005,
-        ),
-        cpu=CpuConfig(cores=8),
-        buffer=BufferConfig(
-            chunk_bytes=1 * MB, page_bytes=64 * KB, capacity_chunks=64
-        ),
-        stream_start_delay_s=0.1,
-    )
-    layout = _layout(config, 200)
-    fam = QueryFamily("F", cpu_per_chunk=0.01)
-    templates = [QueryTemplate(fam, 50), QueryTemplate(fam, 100)]
-    engine = "numpy" if numpy_available() else "scalar"
-
-    def run(workers: int):
-        simulators = []
-        for shard in range(shards):
-            streams = build_streams(
-                templates, layout, streams_n, QUERIES_PER_STREAM, seed=100 + shard
-            )
-            abm = make_nsm_abm(layout, config, "relevance", capacity_chunks=64)
-            source = ClosedStreamSource(streams, config.stream_start_delay_s)
-            simulators.append(ScanSimulator(source, config, abm, engine=engine))
-        started = time.perf_counter()
-        results = LockstepRunner(simulators, workers=workers).run()
-        return results, time.perf_counter() - started
-
-    return run
-
-
 def _measure_engines() -> list:
     rows = []
     for streams_n, capacity, chunks, cores in ENGINE_GRID:
@@ -186,62 +131,24 @@ def _measure_engines() -> list:
     return rows
 
 
-def _measure_fleet() -> list:
-    rows = []
-    for shards, streams_n in FLEET_GRID:
-        run = _fleet_case(shards, streams_n)
-        walls = {}
-        fingerprints = {}
-        for workers in FLEET_WORKERS:
-            samples = []
-            for _ in range(2 if workers > 1 else 1):
-                results, wall = run(workers)
-                samples.append(wall)
-                fingerprints[workers] = [
-                    scheduling_fingerprint(result) for result in results
-                ]
-            walls[workers] = min(samples)
-        assert fingerprints[1] == fingerprints[4], (
-            "worker count changed a per-shard result"
-        )
-        rows.append(
-            {
-                "queries": shards * streams_n * QUERIES_PER_STREAM,
-                "chunks": 200 * shards,
-                "shards": shards,
-                "workers1_s": round(walls[1], 3),
-                "workers4_s": round(walls[4], 3),
-                "speedup": round(walls[1] / walls[4], 2),
-            }
-        )
-    return rows
-
-
-def _assert_claims(engine_rows, fleet_rows) -> None:
+def _assert_claims(engine_rows) -> None:
     largest = engine_rows[-1]
     assert largest["speedup"] >= ENGINE_SPEEDUP_FLOOR, (
         f"numpy engine only {largest['speedup']}x faster at the largest "
         f"single-node point ({largest['queries']} queries x "
         f"{largest['chunks']} chunks); need >= {ENGINE_SPEEDUP_FLOOR}x"
     )
-    big_fleet = fleet_rows[-1]
-    assert big_fleet["shards"] >= 16
-    assert big_fleet["speedup"] >= WORKER_SPEEDUP_FLOOR, (
-        f"workers=4 only {big_fleet['speedup']}x faster than workers=1 at "
-        f"{big_fleet['shards']} shards; need >= {WORKER_SPEEDUP_FLOOR}x"
-    )
 
 
 def _experiment():
     engine_rows = _measure_engines() if numpy_available() else []
-    fleet_rows = _measure_fleet()
     if engine_rows:
-        _assert_claims(engine_rows, fleet_rows)
-    return {"engine": engine_rows, "fleet": fleet_rows}
+        _assert_claims(engine_rows)
+    return {"engine": engine_rows}
 
 
 def _report(results) -> None:
-    print_banner("Vectorized + parallel simulation core")
+    print_banner("Vectorized simulation core")
     print("engine sweep (single node, scalar vs numpy):")
     for row in results["engine"]:
         print(
@@ -251,25 +158,16 @@ def _report(results) -> None:
         )
     if not results["engine"]:
         print("  (numpy unavailable; skipped)")
-    print("worker sweep (independent fleet, workers=1 vs workers=4):")
-    for row in results["fleet"]:
-        print(
-            f"  {row['shards']:2d} shards ({row['queries']:4d} queries): "
-            f"workers=1 {row['workers1_s']:6.2f}s  workers=4 "
-            f"{row['workers4_s']:6.2f}s  ({row['speedup']:.2f}x)"
-        )
 
 
 def _write_bench_core(results) -> None:
     path = update_bench_core(
         "vector_core",
-        [*results["engine"], *results["fleet"]],
+        results["engine"],
         workload={
             "engine_grid": [list(point) for point in ENGINE_GRID],
-            "fleet_grid": [list(point) for point in FLEET_GRID],
             "queries_per_stream": QUERIES_PER_STREAM,
             "engine_speedup_floor": ENGINE_SPEEDUP_FLOOR,
-            "worker_speedup_floor": WORKER_SPEEDUP_FLOOR,
         },
     )
     print(f"merged core rows into {path}")

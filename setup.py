@@ -54,6 +54,7 @@ setup(
         "dev": [
             "pytest>=7",
             "pytest-benchmark",
+            "hypothesis",
         ],
     },
 )

@@ -313,6 +313,9 @@ class ClusterCoordinator:
         #: Whole queries whose latency a failure, hedge or degraded shard
         #: may have touched (for failure-attributed latency reporting).
         self._affected: Set[int] = set()
+        #: Shards whose lockstep probe may have changed since the driver
+        #: last asked (``None``: every shard); see :meth:`take_touched`.
+        self._touched: Optional[Set[int]] = set()
 
     @property
     def admission(self) -> AdmissionController:
@@ -333,8 +336,12 @@ class ClusterCoordinator:
         instant: every shard's poll calls this, the first call does the
         work.
         """
+        arrival = self.frontdoor.next_arrival_time()
         for entry in self.frontdoor.pump(now):
             self._scatter(entry, now)
+        if self.frontdoor.next_arrival_time() != arrival:
+            # Every shard's probe includes the next external arrival.
+            self._touched = None
 
     def drained(self) -> bool:
         """``True`` once no future query can be admitted (arrivals exhausted
@@ -481,6 +488,7 @@ class ClusterCoordinator:
         if self.resources is not None:
             delivered = self.resources.deliver_scatter(now, target, query_id)
         sub.delivered = delivered
+        self._touch(target)
         self._pending[target].append(
             (
                 delivered,
@@ -608,8 +616,12 @@ class ClusterCoordinator:
             self.pump(completion)
         queue = self._pending[shard]
         mark = len(queue)
+        was_drained = self.drained()
         for entry in self.frontdoor.on_complete(query_id, completion):
             self._scatter(entry, completion)
+        if not was_drained and self.drained():
+            # Draining can finish shards that are waiting for nothing.
+            self._touched = None
         # Same-event start: what this release scattered to the completing
         # shard and is already deliverable leaves the buffer and starts now.
         released = [queue.pop() for _ in range(len(queue) - mark)][::-1]
@@ -627,6 +639,7 @@ class ClusterCoordinator:
         """
         sub = self._subs.pop(key)
         self._outstanding[sub.shard] -= 1
+        self._touch(sub.shard)
         queue = self._pending[sub.shard]
         for index, (_, admitted) in enumerate(queue):
             if admitted.spec.query_id == sub.sub_id:
@@ -682,6 +695,7 @@ class ClusterCoordinator:
             admitted.spec.query_id for _, admitted in self._pending[shard]
         }
         self._pending[shard].clear()
+        self._touch(shard)
         victims = [sub for sub in self._subs.values() if sub.shard == shard]
         simulators = self._require_simulators()
         for sub in victims:
@@ -973,6 +987,8 @@ class ClusterCoordinator:
         due: List[AdmittedQuery] = []
         while queue and queue[0][0] <= now + _EPS:
             due.append(queue.popleft()[1])
+        if due:
+            self._touch(shard)
         return due
 
     def pending_head_time(self, shard: int) -> Optional[float]:
@@ -985,6 +1001,23 @@ class ClusterCoordinator:
     def has_pending(self, shard: int) -> bool:
         """Whether ``shard`` still has buffered sub-queries to start."""
         return bool(self._pending[shard])
+
+    def _touch(self, shard: int) -> None:
+        if self._touched is not None:
+            self._touched.add(shard)
+
+    def take_touched(self) -> Optional[Set[int]]:
+        """Shards touched since the last call, then forget them.
+
+        A shard is touched when its pending buffer gained or lost a
+        sub-query or one of its queries was cancelled; ``None`` means every
+        shard (the front door's next arrival time moved, or it drained).
+        The :class:`repro.sim.lockstep.LockstepRunner` re-probes exactly
+        these shards plus the ones it stepped, so any other change to what a
+        shard's probe reads must be reported here too.
+        """
+        touched, self._touched = self._touched, set()
+        return touched
 
     def earliest_in_flight(self) -> Optional[float]:
         """Delivery time of the earliest undelivered sub-query message.
@@ -1008,10 +1041,6 @@ class ClusterCoordinator:
 
 class ShardSource(QuerySource):
     """One shard simulator's view of the cluster coordinator."""
-
-    #: Plumbs straight into coordinator state owned by the driving process:
-    #: the lockstep runner must never fork a simulator fed by this source.
-    master_coupled = True
 
     def __init__(self, coordinator: ClusterCoordinator, shard: int) -> None:
         self.coordinator = coordinator

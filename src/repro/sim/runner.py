@@ -245,13 +245,6 @@ class ScanSimulator:
         """The execution backend in use: ``"scalar"`` or ``"numpy"``."""
         return self._engine
 
-    @property
-    def master_coupled(self) -> bool:
-        """Whether the query source plumbs into driver-owned shared state
-        (cluster coordinator); such simulators must not be forked into a
-        worker process."""
-        return bool(getattr(self._source, "master_coupled", False))
-
     # ------------------------------------------------------------------ API
     def run(self) -> RunResult:
         """Execute the workload to completion and return the run result."""
@@ -384,37 +377,6 @@ class ScanSimulator:
     def set_disk_bandwidth_scale(self, scale: float) -> None:
         """Scale every volume's bandwidth (degraded shard); 1.0 restores."""
         self._disk.set_bandwidth_scale(scale)
-
-    def completion_bound(self) -> Optional[float]:
-        """Lower bound on the earliest time any admitted query can finish.
-
-        Used by the parallel lockstep driver to size safe step windows: a
-        window that ends strictly before this bound can be simulated without
-        the simulator ever calling ``source.on_complete``.  The bound is
-        sound because the virtual clock advances at most at wall-clock rate
-        (``rate_per_query`` never exceeds 1) and disk stalls only add wall
-        time, so a query needing ``v`` more virtual seconds of CPU work
-        cannot finish before ``now + v``.  A small margin absorbs the
-        floating-point rounding of the incremental virtual-clock sums.
-        Returns ``None`` when no admitted query is unfinished.
-        """
-        best: Optional[float] = None
-        for query_id, run in self._queries.items():
-            if run.done:
-                continue
-            remaining = self._abm.handle(query_id).chunks_needed
-            work = max(_EPS, run.spec.cpu_per_chunk)
-            if run.processing:
-                virtual = max(0.0, run.cpu_target - self._vtime)
-                virtual += max(0, remaining - 1) * work
-            else:
-                virtual = max(1, remaining) * work
-            bound = self._now + virtual
-            if best is None or bound < best:
-                best = bound
-        if best is None:
-            return None
-        return best - (1e-9 + 1e-9 * abs(best))
 
     # ------------------------------------------------------------ event core
     def _cpu_entry_valid(self, entry: Tuple[float, int, int]) -> bool:

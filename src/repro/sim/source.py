@@ -56,13 +56,6 @@ class AdmittedQuery:
 class QuerySource(abc.ABC):
     """Interface between a workload shape and the discrete-event simulator."""
 
-    #: Whether the source is live plumbing into shared coordinator state
-    #: owned by the driving process (the cluster's ``ShardSource``).  The
-    #: parallel lockstep driver keeps such sources in the parent and proxies
-    #: their calls; self-contained sources (closed streams) are forked into
-    #: the worker along with their simulator.
-    master_coupled = False
-
     @abc.abstractmethod
     def next_event_time(self) -> Optional[float]:
         """Time of the next source-driven admission, or ``None`` if none is

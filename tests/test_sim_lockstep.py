@@ -3,15 +3,17 @@
 import pytest
 
 from repro.cluster import run_cluster_service
-from repro.common.config import ClusterConfig, ServiceConfig
+from repro.common.config import ClusterConfig, ObservabilityConfig, ServiceConfig
 from repro.common.errors import SimulationError
 from repro.service import Arrival
 from repro.sim.lockstep import LockstepRunner
 from repro.sim.results import scheduling_fingerprint
 from repro.sim.runner import ScanSimulator
 from repro.sim.setup import make_nsm_abm
+from repro.sim.source import AdmittedQuery, ClosedStreamSource, QuerySource
 from repro.storage.nsm import NSMTableLayout
 from tests.conftest import make_request
+from tests.reference_lockstep import ReferenceLockstepRunner
 
 
 def _shard_layouts(tiny_schema, small_config, shard_map):
@@ -258,3 +260,195 @@ class TestSingleStepAndSingleton:
         # The short sim's scheduling calls stop growing once it is done:
         # re-running the probe loop would have inflated them.
         assert short_run.scheduling_calls < long_run.scheduling_calls
+
+
+# ------------------------------------------------------ independent fleets
+FLEET_CHUNKS = 16
+
+
+def _fleet_simulator(tiny_schema, small_config, shard, identical=False, obs=None):
+    """One self-contained simulator; ``identical`` makes every member run
+    the same workload, so all fleet events coincide."""
+    spread = 0 if identical else shard % 3
+    base = 0 if identical else shard * 100
+    streams = [
+        [
+            make_request(base + 1, range(0, 8 + spread)),
+            make_request(base + 2, range(4, FLEET_CHUNKS)),
+        ],
+        [make_request(base + 3, range(0, FLEET_CHUNKS), cpu_per_chunk=0.02)],
+        [make_request(base + 4, range(2, 10 + spread))],
+    ]
+    layout = NSMTableLayout.from_buffer_config(
+        tiny_schema,
+        FLEET_CHUNKS * (small_config.buffer.chunk_bytes // 32),
+        small_config.buffer,
+    )
+    abm = make_nsm_abm(layout, small_config, "relevance", capacity_chunks=4)
+    source = ClosedStreamSource(streams, small_config.stream_start_delay_s)
+    return ScanSimulator(
+        source, small_config, abm, obs=obs, obs_process=f"shard{shard}"
+    )
+
+
+def _fleet(tiny_schema, small_config, shards=3, identical=False):
+    return [
+        _fleet_simulator(tiny_schema, small_config, shard, identical=identical)
+        for shard in range(shards)
+    ]
+
+
+def _packed_events(recorder):
+    """Trace events as comparable tuples (args flattened deterministically)."""
+    return [
+        (e.name, e.cat, e.ph, e.ts, e.pid, e.tid, e.dur, e.id,
+         repr(sorted(e.args.items())))
+        for e in recorder.trace.events
+    ]
+
+
+class TestIndependentFleet:
+    def test_each_member_runs_its_solo_trajectory(self, tiny_schema, small_config):
+        solo = [
+            scheduling_fingerprint(simulator.run())
+            for simulator in _fleet(tiny_schema, small_config)
+        ]
+        fleet = LockstepRunner(_fleet(tiny_schema, small_config)).run()
+        assert [scheduling_fingerprint(run) for run in fleet] == solo
+
+    def test_simultaneous_events_across_shards(self, tiny_schema, small_config):
+        # Identical members put every fleet event at the same timestamps,
+        # so every round steps all of them inside one zero-width window.
+        runs = LockstepRunner(
+            _fleet(tiny_schema, small_config, identical=True)
+        ).run()
+        first = scheduling_fingerprint(runs[0])
+        assert all(scheduling_fingerprint(run) == first for run in runs[1:])
+
+    def test_shared_recorder_holds_every_solo_event(self, tiny_schema, small_config):
+        runner = LockstepRunner(
+            _fleet(tiny_schema, small_config), obs=ObservabilityConfig()
+        )
+        runner.run()
+        shared = runner.flight_recorder
+        solo = []
+        for shard in range(3):
+            simulator = _fleet_simulator(
+                tiny_schema, small_config, shard, obs=ObservabilityConfig()
+            )
+            simulator.run()
+            solo.extend(_packed_events(simulator.flight_recorder))
+        assert sorted(_packed_events(shared)) == sorted(solo)
+
+    def test_only_stepped_members_are_reprobed(
+        self, tiny_schema, small_config, monkeypatch
+    ):
+        calls = {"probes": 0, "steps": 0}
+        probe, step = ScanSimulator.next_step_time, ScanSimulator.step
+
+        def counted_probe(self):
+            calls["probes"] += 1
+            return probe(self)
+
+        def counted_step(self, now):
+            calls["steps"] += 1
+            return step(self, now)
+
+        monkeypatch.setattr(ScanSimulator, "next_step_time", counted_probe)
+        monkeypatch.setattr(ScanSimulator, "step", counted_step)
+        fleet = _fleet(tiny_schema, small_config, shards=4)
+        runner = LockstepRunner(fleet)
+        runner.run()
+        # One initial probe each, then one per step of a still-live member.
+        assert calls["probes"] <= calls["steps"] + len(fleet)
+        driven = dict(calls)
+        calls.update(probes=0, steps=0)
+        oracle = ReferenceLockstepRunner(_fleet(tiny_schema, small_config, shards=4))
+        oracle.run()
+        assert calls["steps"] == driven["steps"]
+        assert oracle.rounds == runner.rounds
+        assert calls["probes"] > driven["probes"]
+
+
+# ------------------------------------------------------------- touch misses
+class _Mailbox(QuerySource):
+    """Receives its one query from another simulator's completion."""
+
+    def __init__(self):
+        self.inbox = []
+        self.polled = 0
+
+    def next_event_time(self):
+        return self.inbox[0][0] if self.inbox else None
+
+    def poll(self, now):
+        due = [admitted for when, admitted in self.inbox if when <= now]
+        self.inbox = [item for item in self.inbox if item[0] > now]
+        self.polled += len(due)
+        return due
+
+    def on_complete(self, query_id, now):
+        return []
+
+    def drained(self):
+        return self.polled >= 1
+
+
+class _Forwarder(ClosedStreamSource):
+    """A closed stream that posts work to a mailbox when its query ends."""
+
+    def __init__(self, streams, mailbox, courier):
+        super().__init__(streams, 0.0)
+        self._mailbox = mailbox
+        self._courier = courier
+
+    def on_complete(self, query_id, now):
+        self._mailbox.inbox.append(
+            (now, AdmittedQuery(spec=make_request(7, range(0, 4))))
+        )
+        self._courier.posted = True
+        return super().on_complete(query_id, now)
+
+
+class _Courier:
+    """Message source that reports (or, ``silent``, hides) its deliveries."""
+
+    def __init__(self, silent):
+        self.silent = silent
+        self.posted = False
+
+    def take_touched(self):
+        touched = {1} if self.posted and not self.silent else set()
+        self.posted = False
+        return touched
+
+    def earliest_in_flight(self):
+        return None
+
+
+class TestMissedTouch:
+    def _run(self, nsm_layout, small_config, silent):
+        courier = _Courier(silent)
+        mailbox = _Mailbox()
+        sender = ScanSimulator(
+            _Forwarder([[make_request(0, range(0, 4))]], mailbox, courier),
+            small_config,
+            make_nsm_abm(nsm_layout, small_config, "relevance"),
+        )
+        receiver = ScanSimulator(
+            mailbox, small_config, make_nsm_abm(nsm_layout, small_config, "relevance")
+        )
+        return LockstepRunner([sender, receiver], message_source=courier).run()
+
+    def test_reported_touch_delivers_the_work(self, nsm_layout, small_config):
+        sent, received = self._run(nsm_layout, small_config, silent=False)
+        assert [query.query_id for query in received.queries] == [7]
+        assert received.queries[0].arrival_time == sent.total_time
+
+    def test_unreported_touch_fails_loudly(self, nsm_layout, small_config):
+        with pytest.raises(
+            SimulationError,
+            match=r"lockstep frontier missed a touch on shard 1 "
+            r"\(cached idle, fresh probe \d+\.\d+\)",
+        ):
+            self._run(nsm_layout, small_config, silent=True)
