@@ -23,6 +23,8 @@ import platform
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+import numpy
+
 from repro.common.config import PAPER_DSM_SYSTEM, PAPER_NSM_SYSTEM, SystemConfig
 from repro.metrics import PolicyComparison, compare_runs
 from repro.sim.setup import dsm_abm_factory, nsm_abm_factory
@@ -184,20 +186,13 @@ def environment_provenance() -> Dict[str, object]:
 
     Wall-clock rows are meaningless without knowing what produced them, so
     every ``BENCH_core.json`` write stamps the interpreter version, the
-    numpy version backing the vector engine (``None`` when numpy is absent
-    and the scalar engine was the only option), and the machine's CPU
-    count (wall-clock rows from hosts with different core counts are not
-    comparable).
+    numpy version backing the vector interest tracker, and the machine's
+    CPU count (wall-clock rows from hosts with different core counts are
+    not comparable).
     """
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:  # pragma: no cover - the CI image bakes numpy in
-        numpy_version = None
     return {
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
     }
 

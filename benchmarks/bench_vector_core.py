@@ -1,25 +1,33 @@
-"""Vectorized simulation core: wall-clock trajectory of the numpy engine.
+"""Interest trackers: wall-clock trajectory of the vector tracker.
 
-The same closed-stream workload runs with ``engine="scalar"`` and
-``engine="numpy"`` across a growing (queries x chunks) grid.  Every pair
+The same closed-stream NSM relevance workload runs with the ABM pinned to
+the dict-counter :class:`~repro.core.interest.InterestTracker` and to the
+numpy-counter :class:`~repro.core.interest.VectorInterestTracker`, across a
+growing (queries x chunks) grid that straddles the chunk-count crossover
+behind ``repro.core.abm.VECTOR_TRACKER_MIN_CHUNKS``.  Every pair of runs
 must produce identical scheduling fingerprints before any number is
-reported; at the largest point the numpy engine must be at least **3x**
-faster end to end.  The win is algorithmic, not numeric: the relevance
-policy's argmin/argmax over candidate chunks becomes a masked C-side
-reduction over the interest tracker's dense counters, so the gap widens
-with buffer capacity and concurrent-query count.
+reported; at the largest point the vector tracker must be at least **3x**
+faster end to end (median against median).  The win is algorithmic, not
+numeric: the relevance policy's argmin/argmax over candidate chunks becomes
+a masked C-side reduction over the tracker's dense counters, so the gap
+widens with buffer capacity and concurrent-query count.
 
-The headline rows (queries x chunks -> seconds) merge into the repo-root
-``BENCH_core.json`` under the ``vector_core`` section, with the
-environment (python/numpy/CPU count) stamped at the top level.
+Each point runs ``SAMPLES`` interleaved scalar/vector pairs; the rows
+(queries x chunks -> median, min and max seconds per tracker, plus the
+tracker the ABM picks by itself) merge into the repo-root
+``BENCH_core.json`` under the ``vector_core`` section, with the environment
+(python/numpy/CPU count) stamped at the top level.
 
-Run under pytest-benchmark like the other benchmarks, or standalone::
+Run under pytest-benchmark like the other benchmarks, or standalone, from
+the repository root (both trackers are pinned through the helpers in
+``tests.naive_relevance``)::
 
     PYTHONPATH=src python -m benchmarks.bench_vector_core
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from benchmarks._harness import SCALE, print_banner, run_once, update_bench_core
@@ -30,26 +38,32 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.units import KB, MB
+from repro.core.interest import VectorInterestTracker
 from repro.sim.results import scheduling_fingerprint
 from repro.sim.runner import run_simulation
 from repro.sim.setup import make_nsm_abm
-from repro.sim.vector import numpy_available
 from repro.storage.nsm import NSMTableLayout
 from repro.storage.schema import ColumnSpec, DataType, TableSchema
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
+from tests.naive_relevance import use_scalar_tracker, use_vector_tracker
 
-#: (streams, buffer_chunks, table_chunks, cores) of the engine sweep; the
-#: last entry is the largest point carrying the >= 3x assertion.
+#: (streams, buffer_chunks, table_chunks, cores) of the tracker sweep.  The
+#: first two points sit below and at the 256-chunk crossover; the last
+#: entry is the largest point carrying the >= 3x assertion.
 if SCALE == "paper":
-    ENGINE_GRID = (
+    GRID = (
+        (16, 32, 128, 8),
+        (16, 64, 256, 8),
         (32, 128, 400, 16),
         (64, 256, 600, 32),
         (128, 512, 1000, 64),
         (192, 768, 1500, 64),
     )
 else:
-    ENGINE_GRID = (
+    GRID = (
+        (16, 32, 128, 8),
+        (16, 64, 256, 8),
         (32, 128, 400, 16),
         (64, 256, 600, 32),
         (128, 512, 1000, 64),
@@ -57,7 +71,12 @@ else:
 
 QUERIES_PER_STREAM = 2
 
-ENGINE_SPEEDUP_FLOOR = 3.0
+#: Interleaved scalar/vector pairs per grid point.
+SAMPLES = 3
+
+VECTOR_SPEEDUP_FLOOR = 3.0
+
+TRACKERS = {"scalar": use_scalar_tracker, "vector": use_vector_tracker}
 
 
 def _system(cores: int, capacity_chunks: int) -> SystemConfig:
@@ -85,89 +104,108 @@ def _layout(config: SystemConfig, chunks: int) -> NSMTableLayout:
     return NSMTableLayout.from_buffer_config(schema, tuples, config.buffer)
 
 
-def _engine_case(streams_n: int, capacity: int, chunks: int, cores: int):
-    """One single-node scenario, runnable with either engine."""
+def _tracker_case(streams_n: int, capacity: int, chunks: int, cores: int):
+    """One single-node scenario, runnable with either tracker pinned."""
     config = _system(cores, capacity)
     layout = _layout(config, chunks)
     fam = QueryFamily("F", cpu_per_chunk=0.004)
     templates = [QueryTemplate(fam, 50), QueryTemplate(fam, 100)]
 
-    def run(engine: str):
+    def abm():
+        return make_nsm_abm(layout, config, "relevance", capacity_chunks=capacity)
+
+    def run(tracker: str):
         streams = build_streams(
             templates, layout, streams_n, QUERIES_PER_STREAM, seed=7
         )
-        abm = make_nsm_abm(layout, config, "relevance", capacity_chunks=capacity)
+        pinned = TRACKERS[tracker](abm())
         started = time.perf_counter()
-        result = run_simulation(streams, config, abm, engine=engine)
+        result = run_simulation(streams, config, pinned)
         return result, time.perf_counter() - started
 
-    return run
+    default = "vector" if isinstance(abm().tracker, VectorInterestTracker) else "scalar"
+    return run, default
 
 
-def _measure_engines() -> list:
+def _spread(walls) -> dict:
+    return {
+        "median": round(statistics.median(walls), 3),
+        "min": round(min(walls), 3),
+        "max": round(max(walls), 3),
+    }
+
+
+def _measure_trackers() -> list:
     rows = []
-    for streams_n, capacity, chunks, cores in ENGINE_GRID:
-        run = _engine_case(streams_n, capacity, chunks, cores)
-        scalar_result, scalar_wall = run("scalar")
-        # The numpy side carries the CI-gating assertion, so take the
-        # faster of two samples; both must still match the scalar trace.
-        samples = [run("numpy") for _ in range(2)]
-        for numpy_result, _ in samples:
-            assert scheduling_fingerprint(numpy_result) == scheduling_fingerprint(
-                scalar_result
-            ), "numpy engine changed a scheduling decision"
-        numpy_wall = min(wall for _, wall in samples)
+    for streams_n, capacity, chunks, cores in GRID:
+        run, default = _tracker_case(streams_n, capacity, chunks, cores)
+        walls = {"scalar": [], "vector": []}
+        reference = None
+        for _ in range(SAMPLES):
+            for tracker in ("scalar", "vector"):
+                result, wall = run(tracker)
+                walls[tracker].append(wall)
+                fingerprint = scheduling_fingerprint(result)
+                if reference is None:
+                    reference = fingerprint
+                assert fingerprint == reference, (
+                    f"{tracker} tracker changed a scheduling decision"
+                )
+        scalar, vector = _spread(walls["scalar"]), _spread(walls["vector"])
         rows.append(
             {
                 "queries": streams_n * QUERIES_PER_STREAM,
                 "chunks": chunks,
                 "shards": 1,
                 "buffer_chunks": capacity,
-                "scalar_s": round(scalar_wall, 3),
-                "numpy_s": round(numpy_wall, 3),
-                "speedup": round(scalar_wall / numpy_wall, 2),
+                "samples": SAMPLES,
+                "default_tracker": default,
+                "scalar_s": scalar,
+                "vector_s": vector,
+                "speedup": round(scalar["median"] / vector["median"], 2),
             }
         )
     return rows
 
 
-def _assert_claims(engine_rows) -> None:
-    largest = engine_rows[-1]
-    assert largest["speedup"] >= ENGINE_SPEEDUP_FLOOR, (
-        f"numpy engine only {largest['speedup']}x faster at the largest "
+def _assert_claims(rows) -> None:
+    largest = rows[-1]
+    assert largest["speedup"] >= VECTOR_SPEEDUP_FLOOR, (
+        f"vector tracker only {largest['speedup']}x faster at the largest "
         f"single-node point ({largest['queries']} queries x "
-        f"{largest['chunks']} chunks); need >= {ENGINE_SPEEDUP_FLOOR}x"
+        f"{largest['chunks']} chunks); need >= {VECTOR_SPEEDUP_FLOOR}x"
     )
 
 
 def _experiment():
-    engine_rows = _measure_engines() if numpy_available() else []
-    if engine_rows:
-        _assert_claims(engine_rows)
-    return {"engine": engine_rows}
+    rows = _measure_trackers()
+    _assert_claims(rows)
+    return {"trackers": rows}
 
 
 def _report(results) -> None:
-    print_banner("Vectorized simulation core")
-    print("engine sweep (single node, scalar vs numpy):")
-    for row in results["engine"]:
+    print_banner("Interest trackers: scalar vs vector (NSM relevance)")
+    print(f"median [min-max] of {SAMPLES} interleaved runs per tracker:")
+    for row in results["trackers"]:
+        scalar, vector = row["scalar_s"], row["vector_s"]
         print(
-            f"  {row['queries']:4d} queries x {row['chunks']:5d} chunks: "
-            f"scalar {row['scalar_s']:7.2f}s  numpy {row['numpy_s']:6.2f}s  "
+            f"  {row['queries']:4d} queries x {row['chunks']:5d} chunks "
+            f"({row['buffer_chunks']:3d} slots, ABM picks {row['default_tracker']}): "
+            f"scalar {scalar['median']:7.2f}s [{scalar['min']:.2f}-{scalar['max']:.2f}]  "
+            f"vector {vector['median']:6.2f}s [{vector['min']:.2f}-{vector['max']:.2f}]  "
             f"({row['speedup']:.2f}x)"
         )
-    if not results["engine"]:
-        print("  (numpy unavailable; skipped)")
 
 
 def _write_bench_core(results) -> None:
     path = update_bench_core(
         "vector_core",
-        results["engine"],
+        results["trackers"],
         workload={
-            "engine_grid": [list(point) for point in ENGINE_GRID],
+            "grid": [list(point) for point in GRID],
             "queries_per_stream": QUERIES_PER_STREAM,
-            "engine_speedup_floor": ENGINE_SPEEDUP_FLOOR,
+            "samples": SAMPLES,
+            "vector_speedup_floor": VECTOR_SPEEDUP_FLOOR,
         },
     )
     print(f"merged core rows into {path}")

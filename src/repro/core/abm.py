@@ -28,11 +28,10 @@ from repro.core.cscan import CScanHandle, ScanRequest
 from repro.core.interest import (
     DSMInterestTracker,
     InterestTracker,
-    VectorDSMInterestTracker,
     VectorInterestTracker,
-    vector_interest_available,
 )
 from repro.core.ops import ColumnLoad, DSMLoadOperation, LoadOperation
+from repro.core.policies.relevance import RelevancePolicy
 from repro.storage.dsm import DSMTableLayout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -45,6 +44,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: defaults: starved below 2 available chunks, almost starved at 2).
 _DEFAULT_STARVATION_THRESHOLD = 2
 _DEFAULT_ALMOST_STARVED_THRESHOLD = 2
+
+#: Table size, in chunks, from which an NSM relevance ABM keeps its interest
+#: counters in :class:`~repro.core.interest.VectorInterestTracker`.  Set from
+#: the measured crossover (16 streams x 4 I/O-bound relevance queries, median
+#: of 3-5 interleaved runs per point, 2-vCPU host; scalar time / vector
+#: time): 0.6-0.8x at 64-128 chunks with 8-16 buffer slots, 0.87-0.98x at
+#: 256 chunks with 8-32 slots but 1.2x with 64, and 1.03-2.0x at 512-1024
+#: chunks with every buffer from 8 to 256 slots.  The buffer size moves the
+#: crossover within 128-512 chunks, but this chunk-only rule is never more
+#: than 15% slower than the faster tracker on any measured point, so the
+#: capacity is left out of it.
+VECTOR_TRACKER_MIN_CHUNKS = 256
 
 
 class _BaseABM:
@@ -249,37 +260,6 @@ class _BaseABM:
     def _policy(self):
         raise NotImplementedError
 
-    def _vector_tracker_class(self):
-        """The vectorised tracker variant for this ABM."""
-        raise NotImplementedError
-
-    def enable_vector_interest(self) -> bool:
-        """Swap the interest tracker for its numpy-counter variant.
-
-        Called by the simulator when the numpy engine is selected, before
-        any query registers.  Returns ``True`` when the vector tracker is
-        (now) active; ``False`` when numpy is missing — the caller then
-        simply runs with scalar counters.  Both trackers make bit-for-bit
-        identical decisions, so this is a pure representation change.
-        """
-        if not vector_interest_available():
-            return False
-        cls = self._vector_tracker_class()
-        if isinstance(self.tracker, cls):
-            return True
-        if self._handles:
-            raise SchedulingError(
-                "enable_vector_interest must run before any query registers"
-            )
-        self.tracker = cls(
-            self.pool,
-            self.starvation_threshold,
-            self.almost_starved_threshold,
-            self.num_chunks,
-        )
-        self.pool.listener = self.tracker
-        return True
-
 
 class ActiveBufferManager(_BaseABM):
     """Active Buffer Manager for row storage (NSM / PAX).
@@ -319,9 +299,21 @@ class ActiveBufferManager(_BaseABM):
         self.policy = policy
         policy.bind(self)
         self._snapshot_thresholds()
-        self.tracker = InterestTracker(
-            self.pool, self.starvation_threshold, self.almost_starved_threshold
-        )
+        # Only the relevance policy reads the tracker's dense vectors, and
+        # they pay for their per-event numpy cost only on large tables (see
+        # VECTOR_TRACKER_MIN_CHUNKS); both trackers make bit-identical
+        # decisions, so the choice is purely a speed one.
+        if isinstance(policy, RelevancePolicy) and num_chunks >= VECTOR_TRACKER_MIN_CHUNKS:
+            self.tracker = VectorInterestTracker(
+                self.pool,
+                self.starvation_threshold,
+                self.almost_starved_threshold,
+                num_chunks,
+            )
+        else:
+            self.tracker = InterestTracker(
+                self.pool, self.starvation_threshold, self.almost_starved_threshold
+            )
         # The pool drives availability updates (loads and evictions), so the
         # tracker stays consistent even when a test or driver mutates the
         # pool directly.
@@ -329,9 +321,6 @@ class ActiveBufferManager(_BaseABM):
 
     def _policy(self) -> "SchedulingPolicy":
         return self.policy
-
-    def _vector_tracker_class(self):
-        return VectorInterestTracker
 
     # ----------------------------------------------------------- inspection
     def chunk_size(self, chunk: int) -> int:
@@ -502,9 +491,6 @@ class DSMActiveBufferManager(_BaseABM):
 
     def _policy(self) -> "DSMSchedulingPolicy":
         return self.policy
-
-    def _vector_tracker_class(self):
-        return VectorDSMInterestTracker
 
     # ----------------------------------------------------------- inspection
     def block_pages(self, chunk: int, column: str) -> int:

@@ -49,19 +49,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set
 
-try:  # pragma: no cover - exercised implicitly by the vector trackers
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.bufman.slots import ChunkSlotPool, DSMBlockPool
     from repro.core.cscan import CScanHandle
-
-
-def vector_interest_available() -> bool:
-    """Whether the numpy-backed interest trackers can be constructed."""
-    return _np is not None
 
 
 class _InterestBase:
@@ -344,38 +336,49 @@ class DSMInterestTracker(_InterestBase):
         return self._cached[query_id][chunk]
 
 
-class _VectorInterestMixin:
-    """Numpy-backed counter storage layered over an interest tracker.
+class VectorInterestTracker(InterestTracker):
+    """Numpy-backed variant of the NSM :class:`InterestTracker`.
 
-    The scalar trackers keep the per-chunk aggregates in dicts and apply a
+    The scalar tracker keeps the per-chunk aggregates in dicts and applies a
     threshold crossing as a Python loop over the query's remaining chunks
-    (:meth:`_InterestBase._refresh_flags`).  This mixin stores the same
+    (:meth:`_InterestBase._refresh_flags`).  This variant stores the same
     aggregates as dense ``int64`` arrays indexed by chunk id and applies
     each crossing as one fancy-indexed batch add — O(needed) in C instead
     of O(needed) dict operations — while leaving every set/dict structure
     the rest of the tracker relies on (registration order, availability
     sets, the per-chunk interested-id dicts) untouched.  The arrays are an
     exact mirror: every read answers bit-for-bit what the dict counters
-    would, which the vector-engine equivalence tests pin.
+    would, which the scheduling-equivalence tests pin against the oracle.
 
-    The mixin also keeps each query's remaining chunks as a boolean mask
-    over chunk ids, flipped incrementally as chunks are consumed — the mask
+    It also keeps each query's remaining chunks as a boolean mask over
+    chunk ids, flipped incrementally as chunks are consumed — the mask
     always equals ``handle.needed`` (``needed.discard`` precedes the
-    tracker's ``_drop_interest`` call), so candidate construction in the
-    policies is pure mask arithmetic with no per-call set conversion.
+    tracker's ``_drop_interest`` call) — plus two masks over the chunk
+    space, buffered and loading, fed by the pool's ``on_load_started`` /
+    ``on_load_cancelled`` listener hooks.  With them the relevance policy
+    scores candidates by pure mask arithmetic, with no per-call set
+    conversion and no pool probes.
     """
 
-    #: Duck-typing marker for policies with vectorised scoring paths.
-    vectorized = True
-
-    def _init_vectors(self, num_chunks: int) -> None:
-        if _np is None:  # pragma: no cover - callers gate on availability
-            raise RuntimeError("vector interest trackers require numpy")
+    def __init__(
+        self,
+        pool: "ChunkSlotPool",
+        starvation_threshold: int,
+        almost_starved_threshold: int,
+        num_chunks: int,
+    ) -> None:
+        super().__init__(pool, starvation_threshold, almost_starved_threshold)
         self._num_chunks = num_chunks
         self._interest_arr = _np.zeros(num_chunks, dtype=_np.int64)
         self._starved_arr = _np.zeros(num_chunks, dtype=_np.int64)
         self._almost_arr = _np.zeros(num_chunks, dtype=_np.int64)
         self._needed_masks: Dict[int, "_np.ndarray"] = {}
+        self._buffered_mask = _np.zeros(num_chunks, dtype=bool)
+        self._loading_mask = _np.zeros(num_chunks, dtype=bool)
+        for chunk in pool.buffered_chunks():
+            self._buffered_mask[chunk] = True
+        for chunk in pool.loading_chunks():
+            self._loading_mask[chunk] = True
 
     # ---------------------------------------------------------- vector reads
     @property
@@ -400,6 +403,16 @@ class _VectorInterestMixin:
         cleared per consumed chunk.
         """
         return self._needed_masks[query_id]
+
+    @property
+    def unloadable_mask(self) -> "_np.ndarray":
+        """Chunks that must not be loaded: buffered or already in flight."""
+        return self._buffered_mask | self._loading_mask
+
+    @property
+    def buffered_mask(self) -> "_np.ndarray":
+        """Boolean mask of fully-loaded chunks (mirrors pool membership)."""
+        return self._buffered_mask
 
     # ------------------------------------------------------ counter overrides
     def interested_count(self, chunk: int) -> int:
@@ -478,45 +491,7 @@ class _VectorInterestMixin:
             else:
                 self._almost_arr[needed] -= 1
 
-
-class VectorInterestTracker(_VectorInterestMixin, InterestTracker):
-    """Numpy-counter variant of the NSM :class:`InterestTracker`.
-
-    On top of the batched counters it maintains two boolean masks over the
-    chunk space — buffered and loading — so the relevance policy can filter
-    load candidates with one vector expression instead of two pool probes
-    per chunk.  The loading mask is fed by the pool's optional
-    ``on_load_started`` / ``on_load_cancelled`` listener hooks.
-    """
-
-    def __init__(
-        self,
-        pool: "ChunkSlotPool",
-        starvation_threshold: int,
-        almost_starved_threshold: int,
-        num_chunks: int,
-    ) -> None:
-        InterestTracker.__init__(
-            self, pool, starvation_threshold, almost_starved_threshold
-        )
-        self._init_vectors(num_chunks)
-        self._buffered_mask = _np.zeros(num_chunks, dtype=bool)
-        self._loading_mask = _np.zeros(num_chunks, dtype=bool)
-        for chunk in pool.buffered_chunks():
-            self._buffered_mask[chunk] = True
-        for chunk in pool.loading_chunks():
-            self._loading_mask[chunk] = True
-
-    @property
-    def unloadable_mask(self) -> "_np.ndarray":
-        """Chunks that must not be loaded: buffered or already in flight."""
-        return self._buffered_mask | self._loading_mask
-
-    @property
-    def buffered_mask(self) -> "_np.ndarray":
-        """Boolean mask of fully-loaded chunks (mirrors pool membership)."""
-        return self._buffered_mask
-
+    # ------------------------------------------------------------ pool hooks
     def on_chunk_loaded(self, chunk: int) -> None:
         self._buffered_mask[chunk] = True
         self._loading_mask[chunk] = False
@@ -535,24 +510,3 @@ class VectorInterestTracker(_VectorInterestMixin, InterestTracker):
     def on_pool_reset(self) -> None:
         self._buffered_mask[:] = False
         self._loading_mask[:] = False
-
-
-class VectorDSMInterestTracker(_VectorInterestMixin, DSMInterestTracker):
-    """Numpy-counter variant of the DSM :class:`DSMInterestTracker`.
-
-    Only the shared starved/almost/interest counters are vectorised; the
-    per-(query, chunk) missing-column and cached-page maps stay scalar —
-    they are touched one entry per block event already.
-    """
-
-    def __init__(
-        self,
-        pool: "DSMBlockPool",
-        starvation_threshold: int,
-        almost_starved_threshold: int,
-        num_chunks: int,
-    ) -> None:
-        DSMInterestTracker.__init__(
-            self, pool, starvation_threshold, almost_starved_threshold
-        )
-        self._init_vectors(num_chunks)

@@ -35,12 +35,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple, Union
 
-try:  # pragma: no cover - exercised implicitly by the vector paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 from repro.core.cscan import CScanHandle
+from repro.core.interest import VectorInterestTracker
 from repro.core.policies.base import SchedulingPolicy
 
 #: Per-class weight tables accepted by :class:`RelevanceParameters` — either
@@ -140,12 +138,6 @@ class RelevancePolicy(SchedulingPolicy):
         #: deltas in ``RunResult.scheduling_calls``.
         self.scheduling_calls: int = 0
 
-    def bind(self, abm) -> None:
-        super().bind(abm)
-        # A reused policy must resolve the new ABM's tracker, not keep the
-        # previous run's.
-        self._vector_tracker_cache = False
-
     # -------------------------------------------------------- starvation
     def _available_count(self, handle: CScanHandle) -> int:
         return self.abm.num_available_chunks(handle)
@@ -212,30 +204,15 @@ class RelevancePolicy(SchedulingPolicy):
 
     # --------------------------------------------------------- vector paths
     # Each decision function has a numpy twin used when the ABM runs the
-    # vectorised interest tracker (``engine="numpy"``): the argmax/argmin
-    # over candidate chunks becomes a fancy-indexed array reduction on the
+    # vector interest tracker (large tables; see
+    # ``repro.core.abm.VECTOR_TRACKER_MIN_CHUNKS``): the argmax/argmin over
+    # candidate chunks becomes a fancy-indexed array reduction on the
     # tracker's dense counters.  Scores are integers and ties break to the
     # smallest chunk id in both forms, so the decisions are bit-identical —
-    # the vector-engine golden-trace tests pin that.
-    #: Sentinel meaning "vector tracker not yet resolved" (class-level; the
-    #: resolution is cached per policy instance on first use and reset by
-    #: :meth:`bind` — the tracker is installed before any query registers
-    #: and never swapped afterwards).
-    _vector_tracker_cache = False
-
-    def _vector_tracker(self):
-        cached = self._vector_tracker_cache
-        if cached is not False:
-            return cached
+    # the scheduling-equivalence tests pin that.
+    def _vector_tracker(self) -> Optional[VectorInterestTracker]:
         tracker = self.abm.tracker
-        if not getattr(tracker, "vectorized", False):
-            tracker = None
-        # Only the NSM tracker carries the buffered/loading masks the load
-        # path needs; duck-check instead of importing the class.
-        elif not hasattr(tracker, "buffered_mask"):
-            tracker = None
-        self._vector_tracker_cache = tracker
-        return tracker
+        return tracker if isinstance(tracker, VectorInterestTracker) else None
 
     #: Per-chunk score meaning "not a candidate" in the min-reduction.
     _SELECT_EXCLUDED = 2**62

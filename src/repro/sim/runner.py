@@ -55,7 +55,6 @@ from repro.obs.recorder import (
 )
 from repro.sim.results import QueryResult, RunResult
 from repro.sim.source import AdmittedQuery, ClosedStreamSource, QuerySource
-from repro.sim.vector import VectorCpuLane, resolve_engine
 from repro.storage.volumes import VolumeLayout
 
 AnyABM = Union[ActiveBufferManager, DSMActiveBufferManager]
@@ -111,7 +110,6 @@ class ScanSimulator:
         obs: ObservabilityLike = None,
         obs_process: str = "service",
         breakdowns: bool = True,
-        engine: str = "auto",
     ) -> None:
         if isinstance(workload, QuerySource):
             self._source = workload
@@ -124,19 +122,6 @@ class ScanSimulator:
             raise SimulationError("query source is empty or already consumed")
         self._config = config
         self._abm = abm
-        #: Execution backend: ``"scalar"`` keeps the reference heap walk,
-        #: ``"numpy"`` batches the CPU completion math (and, when the ABM
-        #: supports it, the interest-counter updates) into array ops.  Both
-        #: backends make bit-for-bit the same scheduling decisions; the
-        #: golden-trace equivalence tests pin that.
-        self._engine = resolve_engine(engine, self._source.size_hint())
-        self._cpu_lane: Optional[VectorCpuLane] = (
-            VectorCpuLane() if self._engine == "numpy" else None
-        )
-        if self._engine == "numpy":
-            enable_vectors = getattr(abm, "enable_vector_interest", None)
-            if enable_vectors is not None:
-                enable_vectors()
         self._volume_layout = VolumeLayout.from_disk_config(
             config.disk, abm.num_chunks
         )
@@ -240,11 +225,6 @@ class ScanSimulator:
         """The attached flight recorder, if any."""
         return self._obs
 
-    @property
-    def resolved_engine(self) -> str:
-        """The execution backend in use: ``"scalar"`` or ``"numpy"``."""
-        return self._engine
-
     # ------------------------------------------------------------------ API
     def run(self) -> RunResult:
         """Execute the workload to completion and return the run result."""
@@ -340,9 +320,7 @@ class ScanSimulator:
         del self._queries[query_id]
         was_running = self._running.pop(query_id, None)
         self._blocked.discard(query_id)
-        if self._cpu_lane is not None:
-            self._cpu_lane.discard(query_id)
-        elif was_running is not None:
+        if was_running is not None:
             # The heap entry of a cancelled running query goes stale; compact
             # once stale entries dominate so long hedge/fail-stop runs don't
             # grow the heap (and its pop cost) without bound.
@@ -388,8 +366,6 @@ class ScanSimulator:
     def _next_cpu_target(self) -> Optional[float]:
         """Virtual completion time of the earliest live CPU entry (lazily
         discarding entries whose query was re-dispatched or left the CPU)."""
-        if self._cpu_lane is not None:
-            return self._cpu_lane.min_target()
         heap = self._cpu_heap
         while heap:
             entry = heap[0]
@@ -533,23 +509,20 @@ class ScanSimulator:
     def _process_cpu_completions(self) -> None:
         # Pop every due completion from the heap instead of scanning all
         # running queries; only actually-due queries are touched.
-        if self._cpu_lane is not None:
-            due = self._cpu_lane.pop_due(self._vtime)
-        else:
-            heap = self._cpu_heap
-            due = []
-            while heap:
-                entry = heap[0]
-                if not self._cpu_entry_valid(entry):
-                    heapq.heappop(heap)
-                    continue
-                if entry[0] > self._vtime + _EPS:
-                    break
+        heap = self._cpu_heap
+        due = []
+        while heap:
+            entry = heap[0]
+            if not self._cpu_entry_valid(entry):
                 heapq.heappop(heap)
-                due.append((entry[1], entry[2]))
-            # Dispatch order equals running-dict insertion order (every
-            # dispatch inserts afresh), matching the naive completion scan.
-            due.sort()
+                continue
+            if entry[0] > self._vtime + _EPS:
+                break
+            heapq.heappop(heap)
+            due.append((entry[1], entry[2]))
+        # Dispatch order equals running-dict insertion order (every
+        # dispatch inserts afresh), matching the naive completion scan.
+        due.sort()
         for _, query_id in due:
             if query_id in self._running:
                 self._finish_chunk(query_id)
@@ -690,12 +663,7 @@ class ScanSimulator:
         run.cpu_seq = self._dispatch_seq
         self._blocked.discard(query_id)
         self._running[query_id] = run
-        if self._cpu_lane is not None:
-            self._cpu_lane.add(query_id, run.cpu_target, run.cpu_seq)
-        else:
-            heapq.heappush(
-                self._cpu_heap, (run.cpu_target, run.cpu_seq, query_id)
-            )
+        heapq.heappush(self._cpu_heap, (run.cpu_target, run.cpu_seq, query_id))
 
     def _finish_chunk(self, query_id: int) -> None:
         run = self._running.pop(query_id)
@@ -808,7 +776,6 @@ def run_simulation(
     record_trace: bool = False,
     obs: ObservabilityLike = None,
     breakdowns: bool = True,
-    engine: str = "auto",
 ) -> RunResult:
     """Run a workload (streams or a query source) against an ABM instance.
 
@@ -819,12 +786,10 @@ def run_simulation(
     always-on per-query latency attribution
     (:class:`repro.obs.postmortem.LatencyBreakdown`) — stamps never affect
     scheduling, so disabling it changes nothing but the attached metadata.
-    ``engine`` selects the execution backend (``"scalar"``, ``"numpy"`` or
-    ``"auto"``); every backend produces bit-for-bit the same result.
     """
     simulator = ScanSimulator(
         workload, config, abm, record_trace=record_trace, obs=obs,
-        breakdowns=breakdowns, engine=engine,
+        breakdowns=breakdowns,
     )
     return simulator.run()
 

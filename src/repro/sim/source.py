@@ -82,14 +82,6 @@ class QuerySource(abc.ABC):
         """Flat description of the workload shape (for reports)."""
         return {}
 
-    def size_hint(self) -> Optional[int]:
-        """Total queries the source will ever release, when known up front.
-
-        ``None`` (the default) means unknown — open-system arrivals and
-        cluster shards cannot know; ``engine="auto"`` then stays scalar.
-        """
-        return None
-
 
 class ClosedStreamSource(QuerySource):
     """The paper's closed workload: streams of back-to-back queries.
@@ -170,9 +162,6 @@ class ClosedStreamSource(QuerySource):
 
     def stream_results(self) -> List[StreamResult]:
         return [result for result in self._results if result is not None]
-
-    def size_hint(self) -> Optional[int]:
-        return sum(len(stream) for stream in self._streams)
 
     def describe(self) -> Dict[str, object]:
         return {

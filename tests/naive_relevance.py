@@ -9,6 +9,10 @@ registered handles and its buffer pool, keeping no state of its own, so it
 is correct by inspection.  :func:`use_naive_bookkeeping` swaps it into an
 ABM; the golden-trace equivalence tests and the scheduling-overhead
 benchmark then compare the two runs' scheduling fingerprints.
+:func:`use_scalar_tracker` and :func:`use_vector_tracker` pin an NSM ABM to
+one of the two real trackers, whatever its table size would pick, so the
+vector path is compared against the oracle and the scalar path on small
+tables too.
 
 This module imports nothing from pytest or ``tests/conftest.py``: the
 scheduling-overhead benchmark imports it outside the test suite.
@@ -19,6 +23,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.core.abm import DSMActiveBufferManager
+from repro.core.interest import InterestTracker, VectorInterestTracker
 
 
 class NaiveTracker:
@@ -91,18 +96,42 @@ class NaiveTracker:
         return self._abm.pool.chunk_cached_pages(chunk, handle.columns)
 
 
+def _swap_tracker(abm, tracker, listener, helper: str):
+    if abm.active_handles():
+        raise ValueError(f"{helper} must run before any query registers")
+    abm.tracker = tracker
+    abm.pool.listener = listener
+    return abm
+
+
 def use_naive_bookkeeping(abm):
     """Make ``abm`` answer every relevance query through a :class:`NaiveTracker`.
 
-    Must run before any query registers.  The simulator calls
-    ``abm.enable_vector_interest()`` whenever the numpy engine resolves
-    (closed sources of 32+ queries), which would silently replace the
-    oracle with the vector tracker; shadowing that method on the instance
-    pins the oracle for the whole run.  Returns ``abm`` for chaining.
+    Must run before any query registers.  Returns ``abm`` for chaining.
     """
-    if abm.active_handles():
-        raise ValueError("use_naive_bookkeeping must run before any query registers")
-    abm.tracker = NaiveTracker(abm)
-    abm.pool.listener = None
-    abm.enable_vector_interest = lambda: False
-    return abm
+    return _swap_tracker(abm, NaiveTracker(abm), None, "use_naive_bookkeeping")
+
+
+def use_scalar_tracker(abm):
+    """Pin an NSM ABM to the dict-counter :class:`InterestTracker`.
+
+    Must run before any query registers.  Returns ``abm`` for chaining.
+    """
+    tracker = InterestTracker(
+        abm.pool, abm.starvation_threshold, abm.almost_starved_threshold
+    )
+    return _swap_tracker(abm, tracker, tracker, "use_scalar_tracker")
+
+
+def use_vector_tracker(abm):
+    """Pin an NSM ABM to the numpy-counter :class:`VectorInterestTracker`.
+
+    Must run before any query registers.  Returns ``abm`` for chaining.
+    """
+    tracker = VectorInterestTracker(
+        abm.pool,
+        abm.starvation_threshold,
+        abm.almost_starved_threshold,
+        abm.num_chunks,
+    )
+    return _swap_tracker(abm, tracker, tracker, "use_vector_tracker")

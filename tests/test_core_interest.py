@@ -13,11 +13,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.abm import ActiveBufferManager, DSMActiveBufferManager
-from repro.core.policies import make_dsm_policy, make_policy
+from repro.core.abm import (
+    VECTOR_TRACKER_MIN_CHUNKS,
+    ActiveBufferManager,
+    DSMActiveBufferManager,
+)
+from repro.core.interest import (
+    DSMInterestTracker,
+    InterestTracker,
+    VectorInterestTracker,
+)
+from repro.core.policies import POLICY_NAMES, make_dsm_policy, make_policy
 from repro.core.policies.relevance import RelevanceParameters
 from repro.sim.runner import run_simulation
 from repro.sim.setup import make_nsm_abm
+from repro.storage.dsm import DSMTableLayout
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
 
@@ -147,13 +157,10 @@ class TestInterestTracker:
         _check_consistency(abm)
 
     def test_naive_oracle_is_pinned(self):
-        """The oracle replaces the tracker, stops listening to the pool and
-        survives the simulator's numpy-engine tracker swap."""
+        """The oracle replaces the tracker and stops listening to the pool."""
         abm = _nsm_abm(naive=True)
         assert isinstance(abm.tracker, NaiveTracker)
         assert abm.pool.listener is None
-        assert abm.enable_vector_interest() is False
-        assert isinstance(abm.tracker, NaiveTracker)
         abm.register(make_request(1, range(0, 4)), now=0.0)
         assert abm.num_available_chunks(abm.handle(1)) == 0
 
@@ -162,6 +169,44 @@ class TestInterestTracker:
         abm.register(make_request(1, range(0, 4)), now=0.0)
         with pytest.raises(ValueError, match="before any query registers"):
             use_naive_bookkeeping(abm)
+
+
+class TestTrackerChoice:
+    """The ABM picks its tracker once, at construction: the vector tracker
+    only for NSM relevance on a table of at least
+    ``VECTOR_TRACKER_MIN_CHUNKS`` chunks, the scalar one everywhere else."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize(
+        "num_chunks", [VECTOR_TRACKER_MIN_CHUNKS - 1, VECTOR_TRACKER_MIN_CHUNKS]
+    )
+    def test_nsm(self, policy, num_chunks):
+        abm = ActiveBufferManager(
+            num_chunks=num_chunks,
+            capacity_chunks=8,
+            policy=make_policy(policy),
+            chunk_bytes=1 << 20,
+        )
+        large_relevance = (
+            policy == "relevance" and num_chunks >= VECTOR_TRACKER_MIN_CHUNKS
+        )
+        expected = VectorInterestTracker if large_relevance else InterestTracker
+        assert type(abm.tracker) is expected
+        assert abm.pool.listener is abm.tracker
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_dsm_is_always_scalar(self, dsm_schema, policy):
+        layout = DSMTableLayout(
+            schema=dsm_schema,
+            num_tuples=VECTOR_TRACKER_MIN_CHUNKS * 1_000,
+            tuples_per_chunk=1_000,
+            page_bytes=64 * 1024,
+        )
+        assert layout.num_chunks >= VECTOR_TRACKER_MIN_CHUNKS
+        abm = DSMActiveBufferManager(
+            layout=layout, capacity_pages=256, policy=make_dsm_policy(policy)
+        )
+        assert type(abm.tracker) is DSMInterestTracker
 
 
 class TestStarvationThresholdRouting:

@@ -1,15 +1,15 @@
 """Golden-trace equivalence: incremental bookkeeping changes no decision.
 
-The incremental interest trackers (:mod:`repro.core.interest`) and the
-virtual-time event core exist purely to make scheduling cheaper; they must
-not change a single scheduling decision.  These tests run the same workload
-once with the ABM's own trackers and once with the recompute-from-scratch
-oracle of ``tests/naive_relevance.py`` swapped in, across the full matrix
-of storage model (NSM / DSM), disk shape (1 and 4 volumes) and workload
-source (closed streams, a closed run large enough to select the numpy
-engine, and open-system arrivals), and assert the outcomes are bit-for-bit
-identical: same query finish times, same delivery orders, same I/O trace
-records.
+The interest trackers (:mod:`repro.core.interest`) and the virtual-time
+event core exist purely to make scheduling cheaper; they must not change a
+single scheduling decision.  These tests run the same workload once with a
+real tracker and once with the recompute-from-scratch oracle of
+``tests/naive_relevance.py`` swapped in, across the full matrix of storage
+model (NSM / DSM), disk shape (1 and 4 volumes), workload source (closed
+streams, a larger closed run and open-system arrivals) and, for NSM
+relevance, both the dict-counter and the numpy-counter tracker, and assert
+the outcomes are bit-for-bit identical: same query finish times, same
+delivery orders, same I/O trace records.
 """
 
 from __future__ import annotations
@@ -17,26 +17,38 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import ServiceConfig
-from repro.core.interest import VectorInterestTracker
+from repro.core.interest import InterestTracker, VectorInterestTracker
 from repro.service.admission import AdmissionController
 from repro.service.arrivals import Arrival
 from repro.service.server import OpenSystemSource
 from repro.sim.results import scheduling_fingerprint as _fingerprint
-from repro.sim.runner import ScanSimulator, run_simulation
+from repro.sim.runner import run_simulation
 from repro.sim.setup import make_dsm_abm, make_nsm_abm
-from repro.sim.vector import AUTO_NUMPY_THRESHOLD, numpy_available
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
 
-from tests.naive_relevance import NaiveTracker, use_naive_bookkeeping
+from tests.naive_relevance import (
+    NaiveTracker,
+    use_naive_bookkeeping,
+    use_scalar_tracker,
+    use_vector_tracker,
+)
 
 NUM_STREAMS = 5
 QUERIES_PER_STREAM = 2
 SEED = 1234
-#: Streams of the ``"closed-large"`` workload: 48 queries, enough for the
-#: default ``engine="auto"`` to resolve numpy and try the vector tracker.
+#: Streams of the ``"closed-large"`` workload (48 queries).
 LARGE_STREAMS = 24
-assert LARGE_STREAMS * QUERIES_PER_STREAM >= AUTO_NUMPY_THRESHOLD
+
+#: How an ABM answers relevance queries in one run: the oracle, one of the
+#: two real trackers pinned, or whichever tracker the ABM picked itself.
+BOOKKEEPING = {
+    "naive": use_naive_bookkeeping,
+    "scalar": use_scalar_tracker,
+    "vector": use_vector_tracker,
+    "own": lambda abm: abm,
+}
+TRACKER_CLASSES = {"scalar": InterestTracker, "vector": VectorInterestTracker}
 
 
 def _nsm_workload():
@@ -90,55 +102,50 @@ def _workload(templates, layout, workload_kind):
     return _open_source(templates, layout)
 
 
-def _simulate(abm, workload, config, naive):
-    """Run ``workload`` on ``abm`` (with the oracle swapped in when
-    ``naive``); returns the result, the resolved engine and the tracker
-    that answered the run."""
-    if naive:
-        use_naive_bookkeeping(abm)
-    simulator = ScanSimulator(workload, config, abm, record_trace=True)
-    return simulator.run(), simulator.resolved_engine, abm.tracker
+def _simulate(abm, workload, config, bookkeeping):
+    """Run ``workload`` on ``abm`` with the ``bookkeeping`` swapped in;
+    returns the result and the tracker that answered the run."""
+    BOOKKEEPING[bookkeeping](abm)
+    return run_simulation(workload, config, abm, record_trace=True), abm.tracker
 
 
-def _run_nsm(nsm_layout, config, workload_kind, naive, policy="relevance"):
+def _run_nsm(nsm_layout, config, workload_kind, bookkeeping, policy="relevance"):
     abm = make_nsm_abm(nsm_layout, config, policy, capacity_chunks=8)
     workload = _workload(_nsm_workload(), nsm_layout, workload_kind)
-    return _simulate(abm, workload, config, naive)
+    return _simulate(abm, workload, config, bookkeeping)
 
 
-def _run_dsm(dsm_layout, config, workload_kind, naive, policy="relevance"):
+def _run_dsm(dsm_layout, config, workload_kind, bookkeeping, policy="relevance"):
     capacity_pages = max(64, int(dsm_layout.table_pages() * 0.3))
     abm = make_dsm_abm(dsm_layout, config, policy, capacity_pages=capacity_pages)
     workload = _workload(_dsm_workload(), dsm_layout, workload_kind)
-    return _simulate(abm, workload, config, naive)
+    return _simulate(abm, workload, config, bookkeeping)
 
 
-def _assert_equivalent(run, *args, **kwargs):
-    """Run both bookkeeping paths; assert identical decisions and that the
-    oracle really answered the naive side's every query."""
-    naive, naive_engine, naive_tracker = run(*args, naive=True, **kwargs)
-    incremental, engine, tracker = run(*args, naive=False, **kwargs)
-    assert _fingerprint(naive) == _fingerprint(incremental)
+def _assert_equivalent(run, *args, tracker="own", **kwargs):
+    """Run the oracle and ``tracker``; assert identical decisions and that
+    the oracle really answered the naive side's every query.  Returns the
+    tracker that answered the other side."""
+    naive, naive_tracker = run(*args, bookkeeping="naive", **kwargs)
+    result, used = run(*args, bookkeeping=tracker, **kwargs)
+    assert _fingerprint(naive) == _fingerprint(result)
     assert isinstance(naive_tracker, NaiveTracker)
-    assert not isinstance(tracker, NaiveTracker)
-    return naive_engine, engine, tracker
+    assert not isinstance(used, NaiveTracker)
+    return used
 
 
 class TestNSMEquivalence:
     @pytest.mark.parametrize("volumes", [1, 4])
     @pytest.mark.parametrize("workload_kind", ["closed", "open", "closed-large"])
+    @pytest.mark.parametrize("tracker", ["scalar", "vector"])
     def test_relevance_decisions_identical(
-        self, nsm_layout, small_config, volumes, workload_kind
+        self, nsm_layout, small_config, volumes, workload_kind, tracker
     ):
         config = small_config.with_volumes(volumes)
-        naive_engine, engine, tracker = _assert_equivalent(
-            _run_nsm, nsm_layout, config, workload_kind
+        used = _assert_equivalent(
+            _run_nsm, nsm_layout, config, workload_kind, tracker=tracker
         )
-        if workload_kind == "closed-large" and numpy_available():
-            # The numpy engine resolved on both sides: the oracle survived
-            # the simulator's tracker swap, the incremental side took it.
-            assert naive_engine == engine == "numpy"
-            assert isinstance(tracker, VectorInterestTracker)
+        assert type(used) is TRACKER_CLASSES[tracker]
 
     @pytest.mark.parametrize("policy", ["normal", "attach", "elevator"])
     def test_other_policies_identical(self, nsm_layout, small_config, policy):
@@ -161,12 +168,12 @@ class TestDSMEquivalence:
 
 class TestSchedulingInstrumentation:
     def test_scheduling_calls_reported(self, nsm_layout, small_config):
-        result, _, _ = _run_nsm(nsm_layout, small_config, "closed", naive=False)
+        result, _ = _run_nsm(nsm_layout, small_config, "closed", "own")
         assert result.scheduling_calls > 0
         assert result.per_decision_seconds >= 0.0
         # Non-counting policies report zero calls without breaking the result.
-        normal, _, _ = _run_nsm(
-            nsm_layout, small_config, "closed", naive=False, policy="normal"
+        normal, _ = _run_nsm(
+            nsm_layout, small_config, "closed", "own", policy="normal"
         )
         assert normal.scheduling_calls == 0
         assert normal.per_decision_seconds == 0.0
@@ -194,12 +201,11 @@ class TestSchedulingInstrumentation:
         assert second.scheduling_calls == first.scheduling_calls
         assert policy.scheduling_calls == first.scheduling_calls * 2
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy engine unavailable")
     def test_reused_policy_rebinds_its_vector_tracker(
         self, nsm_layout, small_config
     ):
-        """A relevance policy reused across two numpy-engine runs must score
-        with the current ABM's vector tracker, not the previous run's."""
+        """A relevance policy reused across two vector-tracker runs must
+        score with the current ABM's tracker, not the previous run's."""
         from repro.core.policies import make_policy
 
         policy = make_policy("relevance")
@@ -208,11 +214,9 @@ class TestSchedulingInstrumentation:
         def run():
             streams = _closed_streams(templates, nsm_layout, LARGE_STREAMS)
             abm = make_nsm_abm(nsm_layout, small_config, policy, capacity_chunks=8)
-            result = run_simulation(
-                streams, small_config, abm, record_trace=True, engine="numpy"
-            )
-            assert isinstance(abm.tracker, VectorInterestTracker)
-            assert policy._vector_tracker_cache is abm.tracker
+            use_vector_tracker(abm)
+            result = run_simulation(streams, small_config, abm, record_trace=True)
+            assert policy._vector_tracker() is abm.tracker
             return result
 
         first = run()

@@ -6,6 +6,7 @@ from repro.common.errors import SimulationError
 from repro.core.policies import POLICY_NAMES
 from repro.sim.runner import ScanSimulator, run_simulation, run_standalone
 from repro.sim.setup import make_nsm_abm, nsm_abm_factory, make_dsm_abm
+from repro.sim.source import ClosedStreamSource
 from tests.conftest import make_request
 
 
@@ -176,3 +177,69 @@ class TestDSMSimulation:
         assert result.bytes_read > 0
         # Column traces carry the column name.
         assert any(event.column is not None for event in result.trace)
+
+
+class TestCpuHeapCompaction:
+    """The CPU-completion heap must stay bounded under cancellation churn.
+
+    Lazy invalidation leaves a cancelled query's heap entry in place; the
+    compaction pass purges stale entries once they outnumber live ones, so
+    a long hedge/fail-stop run cannot grow the heap (and every heappush)
+    without bound.
+    """
+
+    def _churn_simulator(self, tiny_schema, small_config):
+        from repro.storage.nsm import NSMTableLayout
+
+        tuples = 16 * (small_config.buffer.chunk_bytes // 32)
+        layout = NSMTableLayout.from_buffer_config(
+            tiny_schema, tuples, small_config.buffer
+        )
+        # 48 single-query streams of slow scans: everything admits quickly
+        # and stays on the CPU long enough to be cancelled mid-flight.
+        streams = [
+            [make_request(index, range(0, 16), cpu_per_chunk=2.0)]
+            for index in range(48)
+        ]
+        abm = make_nsm_abm(layout, small_config, "relevance", capacity_chunks=8)
+        source = ClosedStreamSource(streams, 0.001)
+        return ScanSimulator(source, small_config, abm)
+
+    def test_fail_stop_compacts_the_heap(self, tiny_schema, small_config):
+        simulator = self._churn_simulator(tiny_schema, small_config)
+        simulator.begin_run()
+        for _ in range(10_000):
+            if simulator.is_done() or len(simulator._running) >= 40:
+                break
+            simulator.step(simulator.next_step_time())
+        assert len(simulator._running) >= 40
+        assert len(simulator._cpu_heap) >= len(simulator._running)
+        simulator.fail_stop(simulator._now)
+        # Every entry went stale at once; compaction must have kept the
+        # heap within its constant bound instead of retaining all of them.
+        assert len(simulator._running) == 0
+        assert len(simulator._cpu_heap) <= 32
+
+    def test_incremental_cancellation_keeps_the_bound(
+        self, tiny_schema, small_config
+    ):
+        simulator = self._churn_simulator(tiny_schema, small_config)
+        simulator.begin_run()
+        for _ in range(10_000):
+            if simulator.is_done() or len(simulator._running) >= 40:
+                break
+            simulator.step(simulator.next_step_time())
+        victims = sorted(simulator._running)[:-4]
+        for query_id in victims:
+            simulator.cancel_query(query_id, simulator._now)
+            assert len(simulator._cpu_heap) <= max(
+                32, 2 * len(simulator._running)
+            )
+        # The survivors still run to completion on the compacted heap.
+        for _ in range(100_000):
+            if simulator.is_done():
+                break
+            simulator.step(simulator.next_step_time())
+        assert simulator.is_done()
+        result = simulator.finish()
+        assert len(result.queries) == 48 - len(victims)
