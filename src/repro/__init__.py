@@ -9,14 +9,8 @@ concurrent scans, an in-memory query engine with out-of-order-aware
 operators, workload generators and the metrics/report machinery that
 regenerates the paper's tables and figures.
 
-Quick start::
-
-    from repro import quickstart_nsm_run
-    comparison = quickstart_nsm_run()
-    print(comparison.system_stats()["relevance"].avg_stream_time)
-
-See ``examples/quickstart.py`` for a richer tour and ``DESIGN.md`` for the
-mapping between paper sections and modules.
+``examples/quickstart.py`` is the quick start: it runs the four scheduling
+policies over one NSM workload and prints the paper-style comparison.
 """
 
 from __future__ import annotations
@@ -78,41 +72,5 @@ __all__ = [
     "RunResult",
     "PolicyComparison",
     "compare_runs",
-    "quickstart_nsm_run",
     "__version__",
 ]
-
-
-def quickstart_nsm_run(
-    num_streams: int = 4,
-    queries_per_stream: int = 2,
-    scale_factor: float = 1.0,
-    seed: int = 0,
-) -> PolicyComparison:
-    """Run a small NSM policy comparison and return a PolicyComparison.
-
-    This is a convenience wrapper used by the README quick-start; it builds a
-    ``lineitem``-like table, a small FAST/SLOW workload, runs all four
-    scheduling policies and returns the aggregated comparison.
-    """
-    from repro.sim.sweeps import compare_nsm_policies, standalone_times
-    from repro.workload import (
-        build_streams,
-        lineitem_nsm_layout,
-        nsm_query_families,
-        standard_templates,
-    )
-
-    config = PAPER_NSM_SYSTEM
-    layout = lineitem_nsm_layout(scale_factor, buffer=config.buffer)
-    fast, slow = nsm_query_families(config)
-    templates = standard_templates(fast, slow, percentages=(10, 50, 100))
-    streams = build_streams(
-        templates, layout, num_streams, queries_per_stream, seed=seed
-    )
-    runs = compare_nsm_policies(streams, config, layout)
-    specs = [spec for stream in streams for spec in stream]
-    baseline = standalone_times(
-        specs, config, nsm_abm_factory(layout, config, "normal", prefetch=False)
-    )
-    return compare_runs(runs, baseline)

@@ -1,36 +1,13 @@
-"""Buffer management substrate.
+"""Buffer management substrate of the Active Buffer Manager.
 
-Two layers are provided:
-
-* a *classic* page-granularity buffer pool with pluggable replacement
-  (:mod:`repro.bufman.buffer_pool`, :mod:`repro.bufman.replacement`) — the
-  kind of component every DBMS already has and on top of which an ABM can be
-  layered (Section 7.1 of the paper);
-* the chunk-slot and column-block pools used by the Active Buffer Manager
-  (:mod:`repro.bufman.slots`), which track per-chunk interest, pins and
-  page-level occupancy for NSM and DSM respectively.
+:mod:`repro.bufman.slots` holds the chunk-slot and column-block pools the
+ABM schedules over; they track per-chunk interest, pins and page-level
+occupancy for NSM and DSM respectively.
 """
 
-from repro.bufman.replacement import (
-    ReplacementPolicy,
-    LRUReplacement,
-    MRUReplacement,
-    FIFOReplacement,
-    ClockReplacement,
-    make_replacement,
-)
-from repro.bufman.buffer_pool import BufferPool, Frame
 from repro.bufman.slots import ChunkSlotPool, ChunkSlot, DSMBlockPool, BlockState
 
 __all__ = [
-    "ReplacementPolicy",
-    "LRUReplacement",
-    "MRUReplacement",
-    "FIFOReplacement",
-    "ClockReplacement",
-    "make_replacement",
-    "BufferPool",
-    "Frame",
     "ChunkSlotPool",
     "ChunkSlot",
     "DSMBlockPool",

@@ -9,7 +9,7 @@ and the simulator mutates them as loads complete and queries consume data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import BufferPoolError
@@ -266,10 +266,6 @@ class DSMBlockPool:
     def has_block(self, chunk: int, column: str) -> bool:
         """Whether the block is fully buffered."""
         return (chunk, column) in self._blocks
-
-    def buffered_keys(self) -> List[BlockKey]:
-        """All fully buffered block keys."""
-        return list(self._blocks)
 
     def buffered_chunks(self) -> Set[int]:
         """Chunks with at least one buffered column block."""

@@ -379,12 +379,8 @@ class ClusterCoordinator:
             spec=entry.spec,
         )
         if self._obs is not None:
-            self._obs.instant(
-                "cluster.scatter",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
+            self._instant(
+                "cluster.scatter", now,
                 query=query_id,
                 query_name=entry.spec.name,
                 query_class=entry.query_class,
@@ -444,16 +440,11 @@ class ClusterCoordinator:
             self._orphans.append((query_id, primary, tuple(global_chunks)))
             self.orphaned += 1
             self._affected.add(query_id)
-            if self._obs is not None:
-                self._obs.instant(
-                    "cluster.orphan",
-                    "cluster",
-                    now,
-                    self._obs_pid,
-                    "cluster",
-                    query=query_id,
-                    primary=primary,
-                )
+            self._instant(
+                "cluster.orphan", now,
+                query=query_id,
+                primary=primary,
+            )
             return None
         open_query = self._open[query_id]
         if origin == "original" and self.shard_map.replicas == 1:
@@ -555,12 +546,8 @@ class ClusterCoordinator:
                 arrived, query_id, final=open_query.remaining == 0
             )
         if self._obs is not None:
-            self._obs.instant(
-                "cluster.subquery.complete",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
+            self._instant(
+                "cluster.subquery.complete", now,
                 query=query_id,
                 sub=sub_id,
                 shard=shard,
@@ -571,12 +558,8 @@ class ClusterCoordinator:
             return []
         del self._open[query_id]
         if self._obs is not None:
-            self._obs.instant(
-                "cluster.gather",
-                "cluster",
-                completion,
-                self._obs_pid,
-                "cluster",
+            self._instant(
+                "cluster.gather", completion,
                 query=query_id,
                 query_name=open_query.name,
                 query_class=open_query.query_class,
@@ -680,14 +663,7 @@ class ClusterCoordinator:
         self.kills += 1
         self.shard_timelines[shard].append((now, "down"))
         if self._obs is not None:
-            self._obs.instant(
-                "cluster.shard.kill",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
-                shard=shard,
-            )
+            self._instant("cluster.shard.kill", now, shard=shard)
             self._obs.set_gauge(
                 "cluster.live_shards", now, float(sum(self._live))
             )
@@ -716,18 +692,13 @@ class ClusterCoordinator:
             )
             if target is not None:
                 self.rescatters += 1
-                if self._obs is not None:
-                    self._obs.instant(
-                        "cluster.rescatter",
-                        "cluster",
-                        now,
-                        self._obs_pid,
-                        "cluster",
-                        query=sub.query_id,
-                        primary=sub.primary,
-                        from_shard=shard,
-                        to_shard=target,
-                    )
+                self._instant(
+                    "cluster.rescatter", now,
+                    query=sub.query_id,
+                    primary=sub.primary,
+                    from_shard=shard,
+                    to_shard=target,
+                )
 
     def degrade_shard(
         self, shard: int, now: float, factor: Optional[float] = None
@@ -746,16 +717,11 @@ class ClusterCoordinator:
         for sub in self._subs.values():
             if sub.shard == shard:
                 self._affected.add(sub.query_id)
-        if self._obs is not None:
-            self._obs.instant(
-                "cluster.shard.degrade",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
-                shard=shard,
-                bandwidth_scale=scale,
-            )
+        self._instant(
+            "cluster.shard.degrade", now,
+            shard=shard,
+            bandwidth_scale=scale,
+        )
 
     def repair_shard(self, shard: int, now: float) -> None:
         """Bring a killed or degraded shard back to full health.
@@ -776,14 +742,7 @@ class ClusterCoordinator:
         self.shard_timelines[shard].append((now, "up"))
         self._require_simulators()[shard].set_disk_bandwidth_scale(1.0)
         if self._obs is not None:
-            self._obs.instant(
-                "cluster.shard.repair",
-                "cluster",
-                now,
-                self._obs_pid,
-                "cluster",
-                shard=shard,
-            )
+            self._instant("cluster.shard.repair", now, shard=shard)
             self._obs.set_gauge(
                 "cluster.live_shards", now, float(sum(self._live))
             )
@@ -796,17 +755,12 @@ class ClusterCoordinator:
                 )
                 if target is not None:
                     self.rescatters += 1
-                    if self._obs is not None:
-                        self._obs.instant(
-                            "cluster.rescatter",
-                            "cluster",
-                            now,
-                            self._obs_pid,
-                            "cluster",
-                            query=query_id,
-                            primary=primary,
-                            to_shard=target,
-                        )
+                    self._instant(
+                        "cluster.rescatter", now,
+                        query=query_id,
+                        primary=primary,
+                        to_shard=target,
+                    )
 
     # --------------------------------------------------------------- hedging
     def _hedge_threshold(self) -> Optional[float]:
@@ -891,19 +845,14 @@ class ClusterCoordinator:
                 continue
             self.hedges_fired += 1
             self._affected.add(sub.query_id)
-            if self._obs is not None:
-                self._obs.instant(
-                    "cluster.hedge.fire",
-                    "cluster",
-                    now,
-                    self._obs_pid,
-                    "cluster",
-                    query=sub.query_id,
-                    sub=sub.sub_id,
-                    slow_shard=sub.shard,
-                    hedge_shard=target,
-                    age=now - sub.scatter_time,
-                )
+            self._instant(
+                "cluster.hedge.fire", now,
+                query=sub.query_id,
+                sub=sub.sub_id,
+                slow_shard=sub.shard,
+                hedge_shard=target,
+                age=now - sub.scatter_time,
+            )
 
     def stall_detail(self) -> str:
         """Extra context for the lockstep deadlock error."""
@@ -1001,6 +950,13 @@ class ClusterCoordinator:
     def has_pending(self, shard: int) -> bool:
         """Whether ``shard`` still has buffered sub-queries to start."""
         return bool(self._pending[shard])
+
+    def _instant(self, name: str, ts: float, **args: object) -> None:
+        """Trace one cluster-lane instant event (a no-op when untraced)."""
+        if self._obs is not None:
+            self._obs.instant(
+                name, "cluster", ts, self._obs_pid, "cluster", **args
+            )
 
     def _touch(self, shard: int) -> None:
         if self._touched is not None:

@@ -58,11 +58,6 @@ class FailureInjector:
         else:  # "repair" — FailureEvent admits no other kind.
             self.coordinator.repair_shard(event.shard, now)
 
-    @property
-    def events_fired(self) -> int:
-        """How many schedule events have been applied so far."""
-        return self._cursor
-
 
 class HedgeMonitor:
     """Frontier-event adapter for the coordinator's hedging deadline."""

@@ -146,10 +146,6 @@ class ShardMap:
         """*Primary* shard of the given global chunk."""
         return self._layout.volume_of(chunk)
 
-    def primary_of(self, chunk: int) -> int:
-        """Alias of :meth:`shard_of`, explicit about replication."""
-        return self._layout.volume_of(chunk)
-
     def replica_shards(self, primary: int) -> Tuple[int, ...]:
         """Every shard storing the given primary shard's chunk range.
 

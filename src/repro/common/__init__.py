@@ -3,7 +3,7 @@
 The :mod:`repro.common` package deliberately has no dependency on the rest of
 the library.  It provides:
 
-* :mod:`repro.common.units` -- byte/size helpers and human-readable formatting,
+* :mod:`repro.common.units` -- byte/size constants and integer helpers,
 * :mod:`repro.common.errors` -- the exception hierarchy of the library,
 * :mod:`repro.common.rng` -- deterministic random-number helpers,
 * :mod:`repro.common.config` -- the configuration dataclasses describing a
@@ -23,11 +23,9 @@ from repro.common.units import (
     KB,
     MB,
     GB,
-    format_bytes,
-    format_seconds,
     ceil_div,
 )
-from repro.common.rng import make_rng, spawn_rngs
+from repro.common.rng import make_rng
 from repro.common.config import (
     DiskConfig,
     CpuConfig,
@@ -58,11 +56,8 @@ __all__ = [
     "KB",
     "MB",
     "GB",
-    "format_bytes",
-    "format_seconds",
     "ceil_div",
     "make_rng",
-    "spawn_rngs",
     "DiskConfig",
     "CpuConfig",
     "BufferConfig",

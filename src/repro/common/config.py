@@ -82,11 +82,6 @@ class DiskConfig:
         """Sequential bandwidth of one volume over all its spindles (bytes/s)."""
         return self.bandwidth_bytes_per_s * self.spindles
 
-    @property
-    def total_bandwidth(self) -> float:
-        """Aggregate sequential bandwidth over all volumes (bytes/s)."""
-        return self.effective_bandwidth * self.volumes
-
 
 @dataclass(frozen=True)
 class CpuConfig:
@@ -920,10 +915,6 @@ class ClusterConfig:
             classes=self.classes,
             adaptive=self.adaptive,
         )
-
-    def with_shards(self, shards: int) -> "ClusterConfig":
-        """Return a copy of this configuration with a different shard count."""
-        return replace(self, shards=shards)
 
     def describe(self) -> Dict[str, Any]:
         """Return a flat dictionary describing the cluster (for reports)."""

@@ -8,8 +8,6 @@ single integer.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 
@@ -20,16 +18,3 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     explicit seed.
     """
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent generators from one master seed.
-
-    Each derived stream is statistically independent (numpy ``spawn``), which
-    lets e.g. every query stream of a benchmark own its own generator while
-    the whole run remains reproducible.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative, got %r" % (count,))
-    master = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in master.spawn(count)]

@@ -1,4 +1,4 @@
-"""Size and time unit helpers.
+"""Size unit helpers.
 
 The paper talks about chunk sizes (16 MB), page sizes (typically 64 KB or
 256 KB in MonetDB/X100), buffer pools of 1 GB and disk bandwidths of
@@ -24,40 +24,3 @@ def ceil_div(numerator: int, denominator: int) -> int:
     if denominator <= 0:
         raise ValueError("denominator must be positive, got %r" % (denominator,))
     return -(-numerator // denominator)
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Format a byte count with a binary-unit suffix.
-
-    >>> format_bytes(16 * MB)
-    '16.0 MB'
-    >>> format_bytes(512)
-    '512 B'
-    """
-    value = float(num_bytes)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            if unit == "B":
-                return f"{int(value)} {unit}"
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_seconds(seconds: float) -> str:
-    """Format a duration in seconds with adaptive precision.
-
-    >>> format_seconds(0.002)
-    '2.00 ms'
-    >>> format_seconds(63.5)
-    '1m 3.5s'
-    """
-    if seconds < 0:
-        return "-" + format_seconds(-seconds)
-    if seconds < 1.0:
-        return f"{seconds * 1000.0:.2f} ms"
-    if seconds < 60.0:
-        return f"{seconds:.2f} s"
-    minutes = int(seconds // 60)
-    rest = seconds - minutes * 60
-    return f"{minutes}m {rest:.1f}s"

@@ -10,8 +10,8 @@ needed by the relevance functions (waiting time, blocked-since, starvation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.common.config import DEFAULT_QUERY_CLASS
 from repro.common.errors import SchedulingError
@@ -71,32 +71,6 @@ class ScanRequest:
     def num_chunks(self) -> int:
         """Number of chunks the scan needs in total."""
         return len(self.chunks)
-
-    @classmethod
-    def from_ranges(
-        cls,
-        query_id: int,
-        name: str,
-        ranges: Sequence[Tuple[int, int]],
-        columns: Sequence[str] = (),
-        cpu_per_chunk: float = 0.0,
-        query_class: str = DEFAULT_QUERY_CLASS,
-    ) -> "ScanRequest":
-        """Build a request from inclusive chunk ranges (zone-map style plans)."""
-        chunks: List[int] = []
-        for start, end in ranges:
-            if start > end:
-                raise SchedulingError(f"invalid chunk range ({start}, {end})")
-            chunks.extend(range(start, end + 1))
-        unique_sorted = tuple(sorted(set(chunks)))
-        return cls(
-            query_id=query_id,
-            name=name,
-            chunks=unique_sorted,
-            columns=tuple(columns),
-            cpu_per_chunk=cpu_per_chunk,
-            query_class=query_class,
-        )
 
 
 class CScanHandle:

@@ -86,15 +86,6 @@ class SchedulingPolicy(_PolicyBase):
         """
 
     # Shared helpers ----------------------------------------------------------
-    def _buffered_needed(self, handle: CScanHandle) -> List[int]:
-        """Buffered chunks the query still needs (excluding its current one)."""
-        pool = self.abm.pool
-        return [
-            chunk
-            for chunk in handle.needed
-            if chunk in pool and chunk != handle.current_chunk
-        ]
-
     def _lru_victims(self, count: int = 1, exclude: Sequence[int] = ()) -> Optional[List[int]]:
         """Pick up to ``count`` least-recently-used unpinned chunks."""
         pool = self.abm.pool
@@ -138,15 +129,6 @@ class DSMSchedulingPolicy(_PolicyBase):
         """
 
     # Shared helpers ----------------------------------------------------------
-    def _ready_needed(self, handle: CScanHandle) -> List[int]:
-        """Ready chunks the query still needs (excluding its current one)."""
-        abm = self.abm
-        return [
-            chunk
-            for chunk in handle.needed
-            if chunk != handle.current_chunk and abm.chunk_ready(handle, chunk)
-        ]
-
     def _evictable_blocks(self, protect_chunks: Sequence[int] = ()) -> List:
         """All unpinned, unreserved blocks excluding the given chunks."""
         pool = self.abm.pool

@@ -79,14 +79,11 @@ def layout_aware_job_size(layout) -> JobSizeEstimator:
     raw chunk count mis-orders the shortest-job-first queue.  This estimator
     weights each chunk by the average pages per chunk of the scan's column
     set — the same per-column statistic :class:`~repro.core.policies.dsm_attach.
-    DSMAttachPolicy` uses for overlap scoring, and the statistic a catalog
-    keeps per table (``layout`` may be a :class:`repro.storage.catalog.
-    CatalogEntry`, which is unwrapped to its layout).
+    DSMAttachPolicy` uses for overlap scoring.
 
     Layouts without per-column statistics (NSM) fall back to
     :func:`default_job_size` — every chunk is one full chunk of I/O there.
     """
-    layout = getattr(layout, "layout", layout)  # unwrap a CatalogEntry
     average_pages = getattr(layout, "average_pages_per_chunk", None)
     if average_pages is None:
         return default_job_size

@@ -1,14 +1,14 @@
 """Parameter sweeps used by the Figure 5/6/7 benchmarks.
 
-These helpers run the same workload under every scheduling policy, or under
-varying system parameters, and collect the results in dictionaries keyed by
-policy name / parameter value.  They are deliberately thin: all the real
+These helpers run the same workload under every scheduling policy and
+collect the results in dictionaries keyed by policy name; the benchmarks
+loop over buffer sizes and query counts themselves.  They are deliberately thin: all the real
 behaviour lives in the policies and the simulator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from repro.common.config import SystemConfig
 from repro.core.cscan import ScanRequest
@@ -96,44 +96,3 @@ def standalone_times(
             continue
         times[spec.name] = run_standalone(spec, config, abm_factory)
     return times
-
-
-def buffer_capacity_sweep(
-    streams: Streams,
-    config: SystemConfig,
-    layout: NSMTableLayout,
-    capacities_chunks: Sequence[int],
-    policies: Iterable[str] = POLICY_NAMES,
-) -> Dict[int, Dict[str, RunResult]]:
-    """Figure 6: rerun the workload for several buffer-pool capacities."""
-    results: Dict[int, Dict[str, RunResult]] = {}
-    for capacity in capacities_chunks:
-        results[capacity] = compare_nsm_policies(
-            streams,
-            config.with_buffer_chunks(capacity),
-            layout,
-            policies=policies,
-            capacity_chunks=capacity,
-        )
-    return results
-
-
-def concurrency_sweep(
-    streams_for_count: Callable[[int], Streams],
-    config: SystemConfig,
-    layout: NSMTableLayout,
-    query_counts: Sequence[int],
-    policies: Iterable[str] = POLICY_NAMES,
-) -> Dict[int, Dict[str, RunResult]]:
-    """Figure 7: rerun with a varying number of concurrent queries.
-
-    ``streams_for_count(n)`` must build a workload with ``n`` concurrent
-    queries (one query per stream in the paper's setting).
-    """
-    results: Dict[int, Dict[str, RunResult]] = {}
-    for count in query_counts:
-        streams = streams_for_count(count)
-        results[count] = compare_nsm_policies(
-            streams, config, layout, policies=policies
-        )
-    return results

@@ -15,8 +15,7 @@ provides that shape:
 * :mod:`repro.storage.zonemap` -- per-chunk min/max metadata used to turn
   range predicates into (possibly non-contiguous) chunk sets,
 * :mod:`repro.storage.volumes` -- chunk-to-volume placement (striped or
-  range-partitioned) for the multi-volume disk subsystem,
-* :mod:`repro.storage.catalog` -- a simple named-table catalog.
+  range-partitioned) for the multi-volume disk subsystem.
 """
 
 from repro.storage.schema import ColumnSpec, TableSchema, DataType
@@ -32,7 +31,6 @@ from repro.storage.nsm import NSMTableLayout
 from repro.storage.dsm import DSMTableLayout, ColumnChunkBlock
 from repro.storage.volumes import VolumeLayout
 from repro.storage.zonemap import ZoneMap, build_zonemap
-from repro.storage.catalog import Catalog
 
 __all__ = [
     "ColumnSpec",
@@ -50,5 +48,4 @@ __all__ = [
     "VolumeLayout",
     "ZoneMap",
     "build_zonemap",
-    "Catalog",
 ]

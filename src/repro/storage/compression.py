@@ -56,17 +56,6 @@ PFOR_DELTA = CompressionScheme("PFOR-DELTA", 3.0 / 64.0)
 #: 2 bits for an 8-bit char).
 PDICT = CompressionScheme("PDICT", 2.0 / 8.0)
 
-_SCHEMES = {scheme.name.lower(): scheme for scheme in (NONE, PFOR, PFOR_DELTA, PDICT)}
-
-
-def scheme_by_name(name: str) -> CompressionScheme:
-    """Look up a built-in compression scheme by (case-insensitive) name."""
-    try:
-        return _SCHEMES[name.lower()]
-    except KeyError as exc:
-        raise StorageError(f"unknown compression scheme {name!r}") from exc
-
-
 def physical_bits_per_value(logical_bits: int, scheme: CompressionScheme) -> int:
     """Physical width of one value under ``scheme`` (helper for ColumnSpec)."""
     return scheme.compressed_bits(logical_bits)

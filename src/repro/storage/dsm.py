@@ -12,7 +12,7 @@ source of the "data waste" problem the DSM relevance functions must handle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.units import ceil_div
@@ -40,13 +40,6 @@ class ColumnChunkBlock:
     def num_pages(self) -> int:
         """Number of pages (inclusive range) holding this block."""
         return self.last_page - self.first_page + 1
-
-    @property
-    def exclusive_pages(self) -> int:
-        """Pages used *only* by this chunk (not shared with neighbours)."""
-        shared = int(self.shares_first_page) + int(self.shares_last_page)
-        # A single shared page may serve as both first and last page.
-        return max(0, self.num_pages - min(shared, self.num_pages))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ every chunk, and answers "which chunks can contain values in ``[lo, hi]``?".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -63,38 +63,6 @@ class ZoneMap:
         if self.num_chunks == 0:
             return 0.0
         return len(self.chunks_for_range(low, high)) / self.num_chunks
-
-    def ranges_for_range(self, low: float, high: float) -> List[Tuple[int, int]]:
-        """Contiguous chunk ranges (inclusive) matching a predicate.
-
-        A scan plan produced from a zone map is a list of such ranges; the
-        Cooperative Scans framework accepts multi-range requests directly.
-        """
-        chunks = self.chunks_for_range(low, high)
-        return group_contiguous(chunks)
-
-
-def group_contiguous(chunks: Sequence[int]) -> List[Tuple[int, int]]:
-    """Group a sorted sequence of chunk ids into inclusive contiguous ranges.
-
-    >>> group_contiguous([0, 1, 2, 5, 6, 9])
-    [(0, 2), (5, 6), (9, 9)]
-    """
-    ranges: List[Tuple[int, int]] = []
-    start = None
-    previous = None
-    for chunk in chunks:
-        if start is None:
-            start = previous = chunk
-            continue
-        if chunk == previous + 1:
-            previous = chunk
-            continue
-        ranges.append((start, previous))
-        start = previous = chunk
-    if start is not None:
-        ranges.append((start, previous))
-    return ranges
 
 
 def build_zonemap(

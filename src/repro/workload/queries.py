@@ -12,7 +12,7 @@ random location".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -195,23 +195,4 @@ def make_scan_request(
         columns=effective_columns,
         cpu_per_chunk=template.family.cpu_per_chunk,
         query_class=template.family.query_class,
-    )
-
-
-def request_from_chunks(
-    name: str,
-    query_id: int,
-    chunks: Sequence[int],
-    cpu_per_chunk: float,
-    columns: Sequence[str] = (),
-    query_class: str = DEFAULT_QUERY_CLASS,
-) -> ScanRequest:
-    """Build a scan request from an explicit chunk list (zone-map plans, tests)."""
-    return ScanRequest(
-        query_id=query_id,
-        name=name,
-        chunks=tuple(sorted(set(chunks))),
-        columns=tuple(columns),
-        cpu_per_chunk=cpu_per_chunk,
-        query_class=query_class,
     )

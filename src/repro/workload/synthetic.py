@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
@@ -108,14 +107,3 @@ def overlap_streams(
             query_id += 1
         streams.append(stream)
     return streams
-
-
-def generate_ten_column_data(num_tuples: int, seed: int = 0) -> Dict[str, np.ndarray]:
-    """Synthetic integer data for the 10-column relation (engine examples)."""
-    if num_tuples <= 0:
-        raise ConfigurationError("num_tuples must be positive")
-    rng = make_rng(seed)
-    return {
-        name: rng.integers(0, 1_000_000, size=num_tuples).astype(np.int64)
-        for name in SYNTHETIC_COLUMNS
-    }

@@ -91,6 +91,144 @@ class TestChunkSlotPool:
             ChunkSlotPool(capacity=0)
 
 
+    def test_slot_of_unbuffered_chunk_raises(self):
+        pool = ChunkSlotPool(capacity=1)
+        with pytest.raises(BufferPoolError):
+            pool.slot(0)
+        pool.start_load(0)
+        with pytest.raises(BufferPoolError):
+            pool.slot(0)  # in flight is not buffered yet
+
+    def test_complete_load_without_start_raises(self):
+        pool = ChunkSlotPool(capacity=1)
+        with pytest.raises(BufferPoolError):
+            pool.complete_load(0, now=0.0)
+
+    def test_pin_and_evict_of_unbuffered_chunk_raise(self):
+        pool = ChunkSlotPool(capacity=1)
+        pool.start_load(0)
+        with pytest.raises(BufferPoolError):
+            pool.pin(0, now=0.0)
+        with pytest.raises(BufferPoolError):
+            pool.evict(0)
+        assert pool.is_loading(0)
+
+    def test_free_slots_accounting(self):
+        pool = ChunkSlotPool(capacity=3)
+        assert pool.capacity == 3
+        assert pool.free_slots() == 3
+        pool.start_load(0)
+        pool.start_load(1)
+        pool.complete_load(0, now=0.0)
+        assert pool.in_use() == 2
+        assert pool.free_slots() == 1
+        pool.evict(0)
+        assert pool.free_slots() == 2
+
+    def test_loading_chunks_lists_inflight_only(self):
+        pool = ChunkSlotPool(capacity=3)
+        pool.start_load(4)
+        pool.start_load(9)
+        pool.complete_load(4, now=0.0)
+        assert pool.loading_chunks() == [9]
+        assert pool.buffered_chunks() == [4]
+        assert not pool.is_loading(4)
+
+    def test_pins_nest(self):
+        pool = ChunkSlotPool(capacity=1)
+        pool.start_load(0)
+        slot = pool.complete_load(0, now=0.0)
+        pool.pin(0, now=1.0)
+        pool.pin(0, now=2.0)
+        pool.unpin(0, now=3.0)
+        assert slot.pinned
+        with pytest.raises(BufferPoolError):
+            pool.evict(0)
+        pool.unpin(0, now=4.0)
+        assert not slot.pinned
+        pool.evict(0)
+
+    def test_iteration_yields_slots_in_load_order(self):
+        pool = ChunkSlotPool(capacity=3)
+        for chunk in (7, 2, 5):
+            pool.start_load(chunk)
+        for now, chunk in enumerate((5, 7, 2)):
+            pool.complete_load(chunk, now=float(now))
+        assert [slot.chunk for slot in pool] == [5, 7, 2]
+        assert [slot.loaded_at for slot in pool] == [0.0, 1.0, 2.0]
+        assert len(pool) == 3
+
+    def test_listener_sees_loads_evictions_and_reset(self):
+        events = []
+
+        class Listener:
+            def on_chunk_loaded(self, chunk):
+                events.append(("loaded", chunk))
+
+            def on_chunk_evicted(self, chunk):
+                events.append(("evicted", chunk))
+
+            def on_load_started(self, chunk):
+                events.append(("started", chunk))
+
+            def on_load_cancelled(self, chunk):
+                events.append(("cancelled", chunk))
+
+            def on_pool_reset(self):
+                events.append(("reset",))
+
+        pool = ChunkSlotPool(capacity=2)
+        pool.listener = Listener()
+        pool.start_load(0)
+        pool.start_load(1)
+        pool.cancel_load(1)
+        pool.complete_load(0, now=0.0)
+        pool.evict(0)
+        pool.start_load(2)
+        pool.complete_load(2, now=1.0)
+        pool.reset()
+        assert events == [
+            ("started", 0),
+            ("started", 1),
+            ("cancelled", 1),
+            ("loaded", 0),
+            ("evicted", 0),
+            ("started", 2),
+            ("loaded", 2),
+            ("evicted", 2),
+            ("reset",),
+        ]
+
+    def test_listener_optional_hooks_may_be_absent(self):
+        events = []
+
+        class MinimalListener:
+            def on_chunk_loaded(self, chunk):
+                events.append(("loaded", chunk))
+
+            def on_chunk_evicted(self, chunk):
+                events.append(("evicted", chunk))
+
+        pool = ChunkSlotPool(capacity=2)
+        pool.listener = MinimalListener()
+        pool.start_load(0)
+        pool.start_load(1)
+        pool.cancel_load(1)
+        pool.complete_load(0, now=0.0)
+        pool.reset()
+        assert events == [("loaded", 0), ("evicted", 0)]
+
+    def test_reset_drops_inflight_loads_and_counters(self):
+        pool = ChunkSlotPool(capacity=2)
+        pool.start_load(0)
+        pool.complete_load(0, now=0.0)
+        pool.evict(0)
+        pool.start_load(1)
+        pool.reset()
+        assert pool.loading_chunks() == []
+        assert pool.evictions == 0
+        assert pool.free_slots() == 2
+
 class TestDSMBlockPool:
     def test_load_lifecycle_and_page_accounting(self):
         pool = DSMBlockPool(capacity_pages=100)
@@ -185,3 +323,112 @@ class TestDSMBlockPool:
         assert pool.used_pages() == 0
         assert not pool.is_reserved(0)
         assert len(pool) == 0
+
+    def test_rejects_zero_capacity(self):
+        with pytest.raises(BufferPoolError):
+            DSMBlockPool(capacity_pages=0)
+
+    def test_block_of_unbuffered_key_raises(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        with pytest.raises(BufferPoolError):
+            pool.block((0, "a"))
+        pool.start_load((0, "a"), pages=2)
+        with pytest.raises(BufferPoolError):
+            pool.block((0, "a"))  # in flight is not buffered yet
+        with pytest.raises(BufferPoolError):
+            pool.evict((0, "a"))
+
+    def test_complete_load_without_start_raises(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        with pytest.raises(BufferPoolError):
+            pool.complete_load((0, "a"), now=0.0)
+
+    def test_loading_and_buffered_are_distinct_states(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        pool.start_load((1, "a"), pages=3)
+        assert pool.is_loading((1, "a"))
+        assert not pool.has_block(1, "a")
+        assert (1, "a") not in pool
+        assert pool.buffered_chunks() == set()
+        state = pool.complete_load((1, "a"), now=2.0)
+        assert not pool.is_loading((1, "a"))
+        assert pool.has_block(1, "a")
+        assert state.key == (1, "a")
+        assert state.loaded_at == state.last_used == 2.0
+        assert pool.loads_completed == 1
+
+    def test_inflight_loads_count_against_capacity(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        pool.start_load((0, "a"), pages=6)
+        assert pool.free_pages() == 4
+        with pytest.raises(BufferPoolError):
+            pool.start_load((0, "b"), pages=5)
+        pool.start_load((0, "b"), pages=4)
+        assert pool.free_pages() == 0
+
+    def test_pins_nest(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        pool.start_load((0, "a"), pages=1)
+        state = pool.complete_load((0, "a"), now=0.0)
+        pool.pin((0, "a"), now=1.0)
+        pool.pin((0, "a"), now=2.0)
+        pool.unpin((0, "a"), now=3.0)
+        assert state.pinned
+        assert state.last_used == 3.0
+        with pytest.raises(BufferPoolError):
+            pool.evict((0, "a"))
+        pool.unpin((0, "a"), now=4.0)
+        assert pool.evict((0, "a")) == 1
+
+    def test_unpin_without_pin_raises(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        pool.start_load((0, "a"), pages=1)
+        pool.complete_load((0, "a"), now=0.0)
+        with pytest.raises(BufferPoolError):
+            pool.unpin((0, "a"), now=0.0)
+
+    def test_evicting_last_block_drops_the_chunk(self):
+        pool = DSMBlockPool(capacity_pages=10)
+        for column in ("a", "b"):
+            pool.start_load((0, column), pages=2)
+            pool.complete_load((0, column), now=0.0)
+        pool.evict((0, "a"))
+        assert pool.buffered_chunks() == {0}
+        assert [block.column for block in pool.blocks_of_chunk(0)] == ["b"]
+        pool.evict((0, "b"))
+        assert pool.buffered_chunks() == set()
+        assert pool.blocks_of_chunk(0) == []
+        assert pool.chunk_cached_pages(0) == 0
+
+    def test_chunk_cached_pages_ignores_columns_not_buffered(self):
+        pool = DSMBlockPool(capacity_pages=100)
+        pool.start_load((0, "a"), pages=10)
+        pool.complete_load((0, "a"), now=0.0)
+        pool.start_load((0, "b"), pages=20)  # in flight: not cached yet
+        assert pool.chunk_cached_pages(0, ["a", "b", "zzz"]) == 10
+        assert pool.chunk_cached_pages(0, []) == 0
+
+    def test_listener_sees_loads_evictions_and_reset(self):
+        events = []
+
+        class Listener:
+            def on_block_loaded(self, chunk, column, pages):
+                events.append(("loaded", chunk, column, pages))
+
+            def on_block_evicted(self, chunk, column, pages):
+                events.append(("evicted", chunk, column, pages))
+
+        pool = DSMBlockPool(capacity_pages=100)
+        pool.listener = Listener()
+        pool.start_load((0, "a"), pages=3)
+        pool.start_load((1, "b"), pages=4)
+        pool.complete_load((0, "a"), now=0.0)
+        pool.complete_load((1, "b"), now=0.0)
+        pool.evict((0, "a"))
+        pool.reset()
+        assert events == [
+            ("loaded", 0, "a", 3),
+            ("loaded", 1, "b", 4),
+            ("evicted", 0, "a", 3),
+            ("evicted", 1, "b", 4),
+        ]

@@ -36,11 +36,10 @@ class TestDiskConfig:
         with pytest.raises(ConfigurationError):
             DiskConfig(spindles=0)
 
-    def test_total_bandwidth_scales_with_volumes(self):
+    def test_effective_bandwidth_ignores_volume_count(self):
         disk = DiskConfig(bandwidth_bytes_per_s=100 * MB, spindles=2, volumes=4)
-        # Spindles scale one volume's bandwidth; volumes multiply the total.
+        # Spindles scale one volume's bandwidth; the volume count does not.
         assert disk.effective_bandwidth == 200 * MB
-        assert disk.total_bandwidth == 800 * MB
 
     def test_rejects_bad_volume_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -187,12 +186,6 @@ class TestClusterConfig:
     def test_one_shard_front_equals_plain_service(self):
         cluster = ClusterConfig(shards=1, mpl_per_shard=8)
         assert cluster.front_service() == ServiceConfig(max_concurrent=8)
-
-    def test_with_shards_returns_modified_copy(self):
-        cluster = ClusterConfig(shards=1)
-        wide = cluster.with_shards(8)
-        assert wide.shards == 8
-        assert cluster.shards == 1
 
     def test_describe_contains_key_parameters(self):
         description = ClusterConfig(shards=4, mpl_per_shard=2).describe()

@@ -1,9 +1,8 @@
 """Tests for repro.common.rng."""
 
 import numpy as np
-import pytest
 
-from repro.common.rng import make_rng, spawn_rngs
+from repro.common.rng import make_rng
 
 
 class TestMakeRng:
@@ -17,22 +16,16 @@ class TestMakeRng:
         b = make_rng(2).integers(0, 1000, size=20)
         assert not np.array_equal(a, b)
 
+    def test_returns_numpy_generator(self):
+        assert isinstance(make_rng(0), np.random.Generator)
 
-class TestSpawnRngs:
-    def test_spawns_requested_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
+    def test_generators_with_same_seed_are_independent(self):
+        a, b = make_rng(7), make_rng(7)
+        first = a.integers(0, 1000, size=5)
+        a.integers(0, 1000, size=50)  # advancing one must not move the other
+        assert np.array_equal(b.integers(0, 1000, size=5), first)
 
-    def test_children_are_independent(self):
-        first, second = spawn_rngs(7, 2)
-        assert not np.array_equal(
-            first.integers(0, 1000, size=20), second.integers(0, 1000, size=20)
-        )
-
-    def test_reproducible_across_calls(self):
-        a = spawn_rngs(3, 3)[1].integers(0, 100, size=5)
-        b = spawn_rngs(3, 3)[1].integers(0, 100, size=5)
-        assert np.array_equal(a, b)
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
+    def test_unseeded_generators_differ(self):
+        a = make_rng(None).integers(0, 2**62, size=4)
+        b = make_rng().integers(0, 2**62, size=4)
+        assert not np.array_equal(a, b)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.units import GB, KB, MB, ceil_div, format_bytes, format_seconds
+from repro.common.units import GB, KB, MB, ceil_div
 
 
 class TestCeilDiv:
@@ -26,29 +26,20 @@ class TestCeilDiv:
         with pytest.raises(ValueError):
             ceil_div(10, -1)
 
+    def test_negative_numerator_rounds_up(self):
+        assert ceil_div(-7, 2) == -3
+
+    def test_pages_per_paper_chunk(self):
+        # 16 MB chunks of 256 KB pages, plus one partial page.
+        assert ceil_div(16 * MB, 256 * KB) == 64
+        assert ceil_div(16 * MB + 1, 256 * KB) == 65
+
 
 class TestUnits:
     def test_kb_mb_gb_relationship(self):
         assert MB == 1024 * KB
         assert GB == 1024 * MB
 
-    def test_format_bytes_small(self):
-        assert format_bytes(512) == "512 B"
-
-    def test_format_bytes_mb(self):
-        assert format_bytes(16 * MB) == "16.0 MB"
-
-    def test_format_bytes_gb(self):
-        assert format_bytes(int(1.5 * GB)) == "1.5 GB"
-
-    def test_format_seconds_milliseconds(self):
-        assert format_seconds(0.002) == "2.00 ms"
-
-    def test_format_seconds_seconds(self):
-        assert format_seconds(42.0) == "42.00 s"
-
-    def test_format_seconds_minutes(self):
-        assert format_seconds(63.5) == "1m 3.5s"
-
-    def test_format_seconds_negative(self):
-        assert format_seconds(-2.0) == "-2.00 s"
+    def test_units_are_byte_counts(self):
+        assert KB == 1024
+        assert GB == 2**30

@@ -1,7 +1,10 @@
 """Tests for ScanRequest and CScanHandle."""
 
+import dataclasses
+
 import pytest
 
+from repro.common.config import DEFAULT_QUERY_CLASS
 from repro.common.errors import SchedulingError
 from repro.core.cscan import CScanHandle, ScanRequest
 
@@ -10,18 +13,6 @@ class TestScanRequest:
     def test_valid_request(self):
         request = ScanRequest(1, "F-10", chunks=(0, 1, 2), cpu_per_chunk=0.1)
         assert request.num_chunks == 3
-
-    def test_from_ranges(self):
-        request = ScanRequest.from_ranges(2, "zm", ranges=[(0, 2), (5, 6)])
-        assert request.chunks == (0, 1, 2, 5, 6)
-
-    def test_from_ranges_merges_overlap(self):
-        request = ScanRequest.from_ranges(2, "zm", ranges=[(0, 3), (2, 4)])
-        assert request.chunks == (0, 1, 2, 3, 4)
-
-    def test_from_ranges_invalid(self):
-        with pytest.raises(SchedulingError):
-            ScanRequest.from_ranges(1, "bad", ranges=[(4, 2)])
 
     def test_rejects_empty(self):
         with pytest.raises(SchedulingError):
@@ -49,6 +40,27 @@ class TestScanRequest:
     def test_rejects_negative_cpu(self):
         with pytest.raises(SchedulingError):
             ScanRequest(1, "cpu", chunks=(0,), cpu_per_chunk=-1.0)
+
+    def test_union_of_ranges_is_accepted(self):
+        # A zone-map scan announces several non-contiguous chunk ranges.
+        request = ScanRequest(1, "zm", chunks=(0, 1, 2, 7, 8, 15))
+        assert request.num_chunks == 6
+        assert request.chunks == (0, 1, 2, 7, 8, 15)
+
+    def test_defaults(self):
+        request = ScanRequest(1, "F-10", chunks=(3,))
+        assert request.columns == ()
+        assert request.cpu_per_chunk == 0.0
+        assert request.query_class == DEFAULT_QUERY_CLASS
+
+    def test_rejects_empty_query_class(self):
+        with pytest.raises(SchedulingError):
+            ScanRequest(1, "cls", chunks=(0,), query_class="")
+
+    def test_is_immutable(self):
+        request = ScanRequest(1, "F-10", chunks=(0, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.chunks = (2,)
 
 
 class TestCScanHandle:

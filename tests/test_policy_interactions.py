@@ -118,8 +118,9 @@ class TestMultiRangeScans:
         config = micro_config(capacity=6)
         layout = micro_layout(32, config)
         cpu = 0.002
-        ranged = ScanRequest.from_ranges(0, "zonemap", [(0, 5), (20, 25)],
-                                         cpu_per_chunk=cpu)
+        ranged = ScanRequest(
+            0, "zonemap", (*range(0, 6), *range(20, 26)), cpu_per_chunk=cpu
+        )
         full = ScanRequest(1, "full", tuple(range(32)), cpu_per_chunk=cpu)
         streams = [[ranged], [full]]
         relevance = run_policy("relevance", streams, config, layout, capacity=6)

@@ -14,7 +14,7 @@ from repro.metrics.analytic import buffer_reuse_probability
 from repro.storage.dsm import DSMTableLayout
 from repro.storage.nsm import NSMTableLayout
 from repro.storage.schema import ColumnSpec, DataType, TableSchema
-from repro.storage.zonemap import build_zonemap, group_contiguous
+from repro.storage.zonemap import ZoneMap, build_zonemap
 
 SLOW_SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -67,13 +67,35 @@ class TestZoneMapProperties:
             if np.any((block >= low) & (block <= high)):
                 assert chunk in selected
 
-    @given(st.lists(st.integers(min_value=0, max_value=100), max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_group_contiguous_roundtrip(self, chunks):
-        unique_sorted = sorted(set(chunks))
-        ranges = group_contiguous(unique_sorted)
-        expanded = [c for start, end in ranges for c in range(start, end + 1)]
-        assert expanded == unique_sorted
+    @given(
+        bounds=st.lists(
+            st.tuples(
+                st.integers(min_value=-100, max_value=100),
+                st.integers(min_value=0, max_value=50),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        low=st.integers(min_value=-150, max_value=150),
+        span=st.integers(min_value=-10, max_value=100),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_for_range_is_exactly_the_overlapping_chunks(self, bounds, low, span):
+        zonemap = ZoneMap(
+            "x",
+            minima=tuple(float(lo) for lo, _ in bounds),
+            maxima=tuple(float(lo + width) for lo, width in bounds),
+        )
+        high = low + span
+        selected = zonemap.chunks_for_range(low, high)
+        # Sorted and unique, so it can serve directly as ScanRequest.chunks.
+        assert selected == sorted(set(selected))
+        expected = [
+            chunk
+            for chunk, (lo, width) in enumerate(bounds)
+            if low <= high and lo <= high and lo + width >= low
+        ]
+        assert selected == expected
 
 
 class TestChunkSlotPoolProperties:

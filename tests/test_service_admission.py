@@ -422,11 +422,8 @@ class TestJobSize:
         assert layout_aware_job_size(nsm_layout) is default_job_size
         assert layout_aware_job_size(None) is default_job_size
 
-    def test_accepts_catalog_entry(self, dsm_layout):
-        from repro.storage.catalog import Catalog
-
-        catalog = Catalog()
-        entry = catalog.register(dsm_layout, name="t")
-        job_size = layout_aware_job_size(entry)
-        spec = make_request(0, range(4), columns=(dsm_layout.schema.columns[0].name,))
-        assert job_size(spec) == layout_aware_job_size(dsm_layout)(spec)
+    def test_layout_aware_columnless_scan_reads_whole_chunks(self, dsm_layout):
+        job_size = layout_aware_job_size(dsm_layout)
+        full_chunk_pages = dsm_layout.table_pages() / dsm_layout.num_chunks
+        spec = make_request(0, range(5), columns=(), cpu_per_chunk=0.5)
+        assert job_size(spec) == pytest.approx(5 * full_chunk_pages * 1.5)

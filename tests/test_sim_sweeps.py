@@ -1,13 +1,9 @@
 """Tests for the sweep helpers used by the figure benchmarks."""
 
-import pytest
-
 from repro.core.policies import POLICY_NAMES
 from repro.sim.sweeps import (
-    buffer_capacity_sweep,
     compare_nsm_policies,
     compare_dsm_policies,
-    concurrency_sweep,
     standalone_times,
 )
 from repro.sim.setup import nsm_abm_factory
@@ -55,38 +51,3 @@ class TestStandaloneTimes:
         )
         assert set(times) == {"A-50", "B-50", "A-50b"}
         assert all(value > 0 for value in times.values())
-
-
-class TestSweeps:
-    def test_buffer_capacity_sweep(self, nsm_layout, small_config):
-        results = buffer_capacity_sweep(
-            small_streams(),
-            small_config,
-            nsm_layout,
-            capacities_chunks=[4, 16],
-            policies=("normal", "relevance"),
-        )
-        assert set(results) == {4, 16}
-        # More buffer never increases the I/O count for the normal policy.
-        assert (
-            results[16]["normal"].io_requests <= results[4]["normal"].io_requests
-        )
-
-    def test_concurrency_sweep(self, nsm_layout, small_config):
-        def streams_for(count):
-            return [
-                [make_request(i, range(0, 16), cpu_per_chunk=0.002, name="U")]
-                for i in range(count)
-            ]
-
-        results = concurrency_sweep(
-            streams_for,
-            small_config,
-            nsm_layout,
-            query_counts=[1, 4],
-            policies=("normal", "relevance"),
-        )
-        assert set(results) == {1, 4}
-        # With one query all policies do the same work.
-        single = results[1]
-        assert single["normal"].io_requests == single["relevance"].io_requests

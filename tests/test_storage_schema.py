@@ -10,7 +10,6 @@ from repro.storage.compression import (
     PFOR_DELTA,
     CompressionScheme,
     physical_bits_per_value,
-    scheme_by_name,
 )
 from repro.storage.schema import ColumnSpec, DataType, TableSchema
 
@@ -44,17 +43,22 @@ class TestCompression:
         with pytest.raises(StorageError):
             CompressionScheme("bogus", 0.0)
 
-    def test_scheme_by_name_case_insensitive(self):
-        assert scheme_by_name("pfor") is PFOR
-        assert scheme_by_name("PFOR-DELTA") is PFOR_DELTA
-
-    def test_scheme_by_name_unknown(self):
-        with pytest.raises(StorageError):
-            scheme_by_name("zip")
-
     def test_physical_bits_rejects_zero(self):
         with pytest.raises(StorageError):
             physical_bits_per_value(0, PFOR)
+
+    def test_physical_bits_per_value_uses_the_scheme(self):
+        for scheme in (NONE, PFOR, PFOR_DELTA, PDICT):
+            assert physical_bits_per_value(64, scheme) == scheme.compressed_bits(64)
+
+    def test_paper_schemes_order_by_ratio(self):
+        ratios = [scheme.default_ratio for scheme in (PFOR_DELTA, PDICT, PFOR, NONE)]
+        assert ratios == sorted(ratios)
+        assert NONE.default_ratio == 1.0
+
+    def test_rejects_ratio_above_one(self):
+        with pytest.raises(StorageError):
+            CompressionScheme("expand", 1.5)
 
 
 class TestColumnSpec:

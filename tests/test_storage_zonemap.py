@@ -1,22 +1,10 @@
-"""Tests for zone maps and the catalog."""
+"""Tests for zone maps."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import StorageError
-from repro.storage.catalog import Catalog
-from repro.storage.zonemap import ZoneMap, build_zonemap, group_contiguous
-
-
-class TestGroupContiguous:
-    def test_groups_runs(self):
-        assert group_contiguous([0, 1, 2, 5, 6, 9]) == [(0, 2), (5, 6), (9, 9)]
-
-    def test_empty(self):
-        assert group_contiguous([]) == []
-
-    def test_single(self):
-        assert group_contiguous([4]) == [(4, 4)]
+from repro.storage.zonemap import ZoneMap, build_zonemap
 
 
 class TestZoneMap:
@@ -30,7 +18,6 @@ class TestZoneMap:
     def test_range_on_sorted_column_is_contiguous(self):
         zonemap = build_zonemap("x", np.arange(1000), tuples_per_chunk=100)
         assert zonemap.chunks_for_range(250, 449) == [2, 3, 4]
-        assert zonemap.ranges_for_range(250, 449) == [(2, 4)]
 
     def test_range_on_correlated_column_skips_chunks(self):
         # A noisy but increasing column: zone maps prune most chunks.
@@ -70,55 +57,30 @@ class TestZoneMap:
         with pytest.raises(StorageError):
             build_zonemap("x", np.arange(10), tuples_per_chunk=0)
 
+    def test_partial_last_chunk(self):
+        zonemap = build_zonemap("x", np.arange(25), tuples_per_chunk=10)
+        assert zonemap.num_chunks == 3
+        assert (zonemap.minima[-1], zonemap.maxima[-1]) == (20.0, 24.0)
 
-class TestCatalog:
-    def test_register_and_get(self, nsm_layout):
-        catalog = Catalog()
-        entry = catalog.register(nsm_layout)
-        assert catalog.get("tiny") is entry
-        assert "tiny" in catalog
-        assert len(catalog) == 1
+    def test_range_bounds_are_inclusive(self):
+        zonemap = build_zonemap("x", np.arange(100), tuples_per_chunk=10)
+        # 19 is the max of chunk 1 and 40 the min of chunk 4.
+        assert zonemap.chunks_for_range(19, 40) == [1, 2, 3, 4]
 
-    def test_register_duplicate_raises(self, nsm_layout):
-        catalog = Catalog()
-        catalog.register(nsm_layout)
+    def test_point_range_selects_one_chunk(self):
+        zonemap = build_zonemap("x", np.arange(100), tuples_per_chunk=10)
+        assert zonemap.chunks_for_range(57, 57) == [5]
+
+    def test_range_outside_domain_selects_nothing(self):
+        zonemap = build_zonemap("x", np.arange(100), tuples_per_chunk=10)
+        assert zonemap.chunks_for_range(100, 200) == []
+        assert zonemap.selectivity(-50, -1) == 0.0
+        assert zonemap.selectivity(0, 99) == pytest.approx(1.0)
+
+    def test_build_rejects_multidimensional_values(self):
         with pytest.raises(StorageError):
-            catalog.register(nsm_layout)
+            build_zonemap("x", np.zeros((4, 2)), tuples_per_chunk=2)
 
-    def test_unknown_table_raises(self):
+    def test_validation_requires_a_chunk(self):
         with pytest.raises(StorageError):
-            Catalog().get("missing")
-
-    def test_is_dsm_flag(self, nsm_layout, dsm_layout):
-        catalog = Catalog()
-        assert not catalog.register(nsm_layout).is_dsm
-        assert catalog.register(dsm_layout).is_dsm
-
-    def test_add_zonemap_validates_chunk_count(self, nsm_layout):
-        catalog = Catalog()
-        catalog.register(nsm_layout)
-        bad = ZoneMap("a", minima=(0.0,), maxima=(1.0,))
-        with pytest.raises(StorageError):
-            catalog.add_zonemap("tiny", bad)
-
-    def test_add_zonemap_success(self, nsm_layout):
-        catalog = Catalog()
-        catalog.register(nsm_layout)
-        values = np.arange(nsm_layout.num_tuples, dtype=float)
-        zonemap = build_zonemap("a", values, nsm_layout.tuples_per_chunk)
-        catalog.add_zonemap("tiny", zonemap)
-        assert "a" in catalog.get("tiny").zonemaps
-
-    def test_drop(self, nsm_layout):
-        catalog = Catalog()
-        catalog.register(nsm_layout)
-        catalog.drop("tiny")
-        assert "tiny" not in catalog
-        with pytest.raises(StorageError):
-            catalog.drop("tiny")
-
-    def test_table_names(self, nsm_layout, dsm_layout):
-        catalog = Catalog()
-        catalog.register(nsm_layout)
-        catalog.register(dsm_layout)
-        assert set(catalog.table_names()) == {"tiny", "dsmtab"}
+            ZoneMap("x", minima=(), maxima=())

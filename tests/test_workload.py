@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.config import PAPER_DSM_SYSTEM, PAPER_NSM_SYSTEM
+from repro.common.config import DEFAULT_QUERY_CLASS, PAPER_DSM_SYSTEM, PAPER_NSM_SYSTEM
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 from repro.workload.mixes import SIZE_MIXES, SPEED_MIXES, all_mixes, mix_label, mix_templates
@@ -12,16 +12,14 @@ from repro.workload.queries import (
     Q6_COLUMNS,
     QueryFamily,
     QueryTemplate,
+    classed_templates,
     dsm_query_families,
     make_scan_request,
     nsm_query_families,
-    request_from_chunks,
     standard_templates,
 )
 from repro.workload.streams import build_streams, build_uniform_streams
 from repro.workload.synthetic import (
-    SYNTHETIC_COLUMNS,
-    generate_ten_column_data,
     overlap_query_sets,
     overlap_streams,
     ten_column_layout,
@@ -165,9 +163,39 @@ class TestScanRequests:
         )
         assert request.columns == ("flag",)
 
-    def test_request_from_chunks_sorts_and_dedups(self):
-        request = request_from_chunks("x", 1, [5, 3, 3, 9], cpu_per_chunk=0.1)
-        assert request.chunks == (3, 5, 9)
+    def test_tiny_percentage_reads_at_least_one_chunk(self, nsm_layout):
+        family = QueryFamily("F", 0.1)
+        request = make_scan_request(
+            QueryTemplate(family, 0.01), 1, nsm_layout, make_rng(0)
+        )
+        assert request.num_chunks == 1
+
+    def test_request_carries_family_cost_and_class(self, nsm_layout):
+        family = QueryFamily("S", 0.25, query_class="batch")
+        request = make_scan_request(QueryTemplate(family, 10), 9, nsm_layout, make_rng(0))
+        assert request.query_id == 9
+        assert request.name == "S-10"
+        assert request.cpu_per_chunk == 0.25
+        assert request.query_class == "batch"
+
+    def test_classed_templates_only_change_the_class(self):
+        fast, slow = QueryFamily("F", 0.1), QueryFamily("S", 0.2)
+        templates = standard_templates(fast, slow)
+        classed = classed_templates(templates, "interactive")
+        assert [t.label for t in classed] == [t.label for t in templates]
+        assert [t.family.cpu_per_chunk for t in classed] == [
+            t.family.cpu_per_chunk for t in templates
+        ]
+        assert {t.family.query_class for t in classed} == {"interactive"}
+        assert {t.family.query_class for t in templates} == {DEFAULT_QUERY_CLASS}
+
+    def test_query_family_validation(self):
+        with pytest.raises(ConfigurationError):
+            QueryFamily("", 0.1)
+        with pytest.raises(ConfigurationError):
+            QueryFamily("F", -0.1)
+        with pytest.raises(ConfigurationError):
+            QueryFamily("F", 0.1, query_class="")
 
 
 class TestStreams:
@@ -259,8 +287,3 @@ class TestSynthetic:
             overlap_streams([], layout, 1, 1)
         with pytest.raises(ConfigurationError):
             overlap_streams([("A",)], layout, 1, 1, scan_fraction=0.0)
-
-    def test_generate_ten_column_data(self):
-        data = generate_ten_column_data(1000, seed=1)
-        assert set(data) == set(SYNTHETIC_COLUMNS)
-        assert all(len(values) == 1000 for values in data.values())
