@@ -189,7 +189,6 @@ def _experiment():
         "trace_events": len(traced.obs.events),
         "chrome_records": num_records,
         "metric_series": len(traced.obs.metrics.names()),
-        "recorder_overhead_s": traced.obs.overhead_seconds,
         "result": traced,
     }
 
@@ -207,8 +206,7 @@ def _report(stats) -> None:
     print(
         f"{stats['trace_events']} trace events, "
         f"{stats['chrome_records']} Chrome records, "
-        f"{stats['metric_series']} metric series, "
-        f"recorder overhead {stats['recorder_overhead_s'] * 1e3:.2f} ms"
+        f"{stats['metric_series']} metric series"
     )
 
 

@@ -76,7 +76,6 @@ from repro.obs.postmortem import (
     assemble_cluster_breakdown,
     build_blame_report,
 )
-from repro.obs.profile import SchedulerProfile
 from repro.obs.recorder import (
     FlightRecorder,
     ObservabilityLike,
@@ -1091,18 +1090,6 @@ class ClusterResult:
     def final_mpl(self) -> int:
         """The MPL in force when the run ended."""
         return self.mpl_timeline[-1][1] if self.mpl_timeline else 0
-
-    @property
-    def scheduler_profile(self) -> Optional[SchedulerProfile]:
-        """Per-phase scheduling cost merged over every shard's run."""
-        profiles = [
-            run.scheduler_profile
-            for run in self.shard_runs
-            if run.scheduler_profile is not None
-        ]
-        if not profiles:
-            return None
-        return SchedulerProfile.merge(profiles)
 
 
 def run_cluster_service(

@@ -36,6 +36,11 @@ class _PolicyBase(ABC):
 
     def __init__(self) -> None:
         self._abm = None
+        #: Number of counted scheduling decisions made over the policy's
+        #: lifetime (used by the Figure 8 benchmark); the simulator reports
+        #: per-run deltas in ``RunResult.scheduling_calls``.  Policies that
+        #: count no decisions stay at 0.
+        self.scheduling_calls = 0
 
     def bind(self, abm) -> None:
         """Attach the policy to its buffer manager (called once by the ABM)."""

@@ -38,7 +38,6 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         #: Chunk currently reserved on behalf of each blocked query
         #: (the "avoid data waste" rule).
         self._reservations: Dict[int, int] = {}
-        self.scheduling_calls: int = 0
 
     # -------------------------------------------------------- starvation
     def query_starved(self, handle: CScanHandle) -> bool:

@@ -133,10 +133,6 @@ class RelevancePolicy(SchedulingPolicy):
     def __init__(self, parameters: RelevanceParameters | None = None) -> None:
         super().__init__()
         self.parameters = parameters or RelevanceParameters()
-        #: Number of scheduling decisions made over the policy's lifetime
-        #: (used by the Figure 8 benchmark); the simulator reports per-run
-        #: deltas in ``RunResult.scheduling_calls``.
-        self.scheduling_calls: int = 0
 
     # -------------------------------------------------------- starvation
     def _available_count(self, handle: CScanHandle) -> int:

@@ -1,4 +1,4 @@
-"""Flight recorder: tracing, metric timelines and scheduler self-profiling.
+"""Flight recorder: tracing, metric timelines and postmortem reports.
 
 The observability layer of the repo.  Everything here is opt-in: the run
 entry points (:func:`repro.sim.runner.run_simulation`,
@@ -13,8 +13,6 @@ uninstrumented code.
   on the simulated clock, buffered by the :class:`FlightRecorder`;
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms sampled on the
   shared clock (queue depth, MPL, volume utilisation, hit rate, ...);
-* :mod:`repro.obs.profile` -- :class:`SchedulerProfile`, the per-phase
-  wall-clock breakdown of the event core;
 * :mod:`repro.obs.export` -- JSONL and Perfetto-loadable Chrome trace-event
   JSON exporters plus a structural validator;
 * :mod:`repro.obs.postmortem` -- always-on per-query
@@ -25,6 +23,12 @@ uninstrumented code.
 * :mod:`repro.obs.alerts` -- multi-window SLO error-budget burn-rate
   detectors and windowed utilisation threshold alerts over the run's busy
   timelines, rendered as a health digest naming the top-blamed phase.
+
+Wall-clock self-timing of the simulator is not part of this package: a run
+reports only Figure 8's two counters, ``RunResult.scheduling_seconds`` and
+``RunResult.scheduling_calls``.  The per-layer and per-ABM-call split comes
+from the outside-in tracer, ``python -m benchmarks.e2e --trace 1``, which
+costs nothing when it is off.
 """
 
 from typing import Optional
@@ -61,11 +65,6 @@ from repro.obs.postmortem import (
     build_blame_report,
     build_breakdown,
     build_single_node_breakdown,
-)
-from repro.obs.profile import (
-    PhaseStats,
-    SchedulerProfile,
-    render_scheduler_profile,
 )
 from repro.obs.recorder import (
     FlightRecorder,
@@ -109,9 +108,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "SchedulerProfile",
-    "PhaseStats",
-    "render_scheduler_profile",
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",

@@ -9,15 +9,14 @@ all hold an ``Optional[FlightRecorder]`` and guard every emission with a
 ``None`` check, so a disabled recorder costs one attribute test per
 potential event and changes no simulation state whatsoever.
 
-The recorder also accounts for its own cost: one emission in every
-``_OVERHEAD_SAMPLE`` is wall-clock measured and scaled up into
-:attr:`FlightRecorder.overhead_seconds`, so benchmark runs can report
-tracing overhead honestly without paying two clock reads per event.
+The recorder does not time itself.  Its wall-clock cost is measured from
+outside: ``benchmarks/bench_obs_overhead.py`` compares a traced run with its
+untraced twin, and ``python -m benchmarks.e2e --trace 1`` reports the
+``recorder`` layer of the outside-in trace.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import List, Optional, Union
 
 from repro.common.config import ObservabilityConfig
@@ -55,47 +54,17 @@ class TraceRecorder:
         else:
             self.dropped += 1
 
-    def instant(self, name: str, cat: str, ts: float, pid: str, tid: str,
-                **args: object) -> None:
-        self.emit(TraceEvent(name=name, cat=cat, ph=PH_INSTANT, ts=ts,
-                             pid=pid, tid=tid, args=args))
-
-    def complete(self, name: str, cat: str, ts: float, dur: float, pid: str,
-                 tid: str, **args: object) -> None:
-        self.emit(TraceEvent(name=name, cat=cat, ph=PH_COMPLETE, ts=ts,
-                             dur=dur, pid=pid, tid=tid, args=args))
-
-    def async_begin(self, name: str, cat: str, ts: float, id: int, pid: str,
-                    tid: str, **args: object) -> None:
-        self.emit(TraceEvent(name=name, cat=cat, ph=PH_ASYNC_BEGIN, ts=ts,
-                             id=id, pid=pid, tid=tid, args=args))
-
-    def async_end(self, name: str, cat: str, ts: float, id: int, pid: str,
-                  tid: str, **args: object) -> None:
-        self.emit(TraceEvent(name=name, cat=cat, ph=PH_ASYNC_END, ts=ts,
-                             id=id, pid=pid, tid=tid, args=args))
-
-
-#: One emission in every this-many is wall-clock measured (and scaled up)
-#: for the overhead accounting; the rest skip the clock reads entirely.
-_OVERHEAD_SAMPLE = 16
-
 
 class FlightRecorder:
-    """One recorder per run: trace events + metric timelines + overhead.
+    """One recorder per run: trace events + metric timelines.
 
     Built from an :class:`~repro.common.config.ObservabilityConfig`; either
     half (tracing, metrics) can be switched off independently, in which case
-    the corresponding attribute is ``None`` and the convenience emitters
-    below become no-ops.
-
-    :attr:`overhead_seconds` is a sampled estimate: every
-    ``_OVERHEAD_SAMPLE``-th emission is timed and counted at the sampling
-    weight, which keeps the recorder itself cheap enough to stay within the
-    traced-run overhead budget on small runs.
+    the corresponding attribute is ``None`` and the emitters below become
+    no-ops.  Each emitter is one ``None`` check plus one emission.
     """
 
-    __slots__ = ("config", "trace", "metrics", "overhead_seconds", "_emissions")
+    __slots__ = ("config", "trace", "metrics")
 
     def __init__(self, config: Optional[ObservabilityConfig] = None) -> None:
         self.config = config if config is not None else ObservabilityConfig()
@@ -106,9 +75,6 @@ class FlightRecorder:
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if self.config.metrics else None
         )
-        #: Wall-clock seconds spent inside the recorder itself (sampled).
-        self.overhead_seconds = 0.0
-        self._emissions = 0
 
     # -- trace emitters (no-ops when tracing is off) ---------------------
 
@@ -117,66 +83,31 @@ class FlightRecorder:
         trace = self.trace
         if trace is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            trace.emit(TraceEvent(name, cat, PH_INSTANT, ts, pid, tid, args=args))
-        else:
-            started = _time.perf_counter()
-            trace.emit(TraceEvent(name, cat, PH_INSTANT, ts, pid, tid, args=args))
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        trace.emit(TraceEvent(name, cat, PH_INSTANT, ts, pid, tid, args=args))
 
     def complete(self, name: str, cat: str, ts: float, dur: float, pid: str,
                  tid: str, **args: object) -> None:
         trace = self.trace
         if trace is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            trace.emit(TraceEvent(name, cat, PH_COMPLETE, ts, pid, tid,
-                                  dur=dur, args=args))
-        else:
-            started = _time.perf_counter()
-            trace.emit(TraceEvent(name, cat, PH_COMPLETE, ts, pid, tid,
-                                  dur=dur, args=args))
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        trace.emit(TraceEvent(name, cat, PH_COMPLETE, ts, pid, tid,
+                              dur=dur, args=args))
 
     def async_begin(self, name: str, cat: str, ts: float, id: int, pid: str,
                     tid: str, **args: object) -> None:
         trace = self.trace
         if trace is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            trace.emit(TraceEvent(name, cat, PH_ASYNC_BEGIN, ts, pid, tid,
-                                  id=id, args=args))
-        else:
-            started = _time.perf_counter()
-            trace.emit(TraceEvent(name, cat, PH_ASYNC_BEGIN, ts, pid, tid,
-                                  id=id, args=args))
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        trace.emit(TraceEvent(name, cat, PH_ASYNC_BEGIN, ts, pid, tid,
+                              id=id, args=args))
 
     def async_end(self, name: str, cat: str, ts: float, id: int, pid: str,
                   tid: str, **args: object) -> None:
         trace = self.trace
         if trace is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            trace.emit(TraceEvent(name, cat, PH_ASYNC_END, ts, pid, tid,
-                                  id=id, args=args))
-        else:
-            started = _time.perf_counter()
-            trace.emit(TraceEvent(name, cat, PH_ASYNC_END, ts, pid, tid,
-                                  id=id, args=args))
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        trace.emit(TraceEvent(name, cat, PH_ASYNC_END, ts, pid, tid,
+                              id=id, args=args))
 
     # -- metric emitters (no-ops when metrics are off) -------------------
 
@@ -184,43 +115,19 @@ class FlightRecorder:
         metrics = self.metrics
         if metrics is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            metrics.gauge(name).set(now, value)
-        else:
-            started = _time.perf_counter()
-            metrics.gauge(name).set(now, value)
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        metrics.gauge(name).set(now, value)
 
     def inc_counter(self, name: str, now: float, delta: float = 1.0) -> None:
         metrics = self.metrics
         if metrics is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            metrics.counter(name).inc(now, delta)
-        else:
-            started = _time.perf_counter()
-            metrics.counter(name).inc(now, delta)
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        metrics.counter(name).inc(now, delta)
 
     def observe(self, name: str, now: float, value: float) -> None:
         metrics = self.metrics
         if metrics is None:
             return
-        self._emissions += 1
-        if self._emissions % _OVERHEAD_SAMPLE:
-            metrics.histogram(name).observe(now, value)
-        else:
-            started = _time.perf_counter()
-            metrics.histogram(name).observe(now, value)
-            self.overhead_seconds += (
-                (_time.perf_counter() - started) * _OVERHEAD_SAMPLE
-            )
+        metrics.histogram(name).observe(now, value)
 
     # -- introspection ---------------------------------------------------
 
@@ -242,7 +149,6 @@ class FlightRecorder:
             lines.append(detail)
         if self.metrics is not None:
             lines.append(f"{len(self.metrics.names())} metric series")
-        lines.append(f"recorder overhead {self.overhead_seconds * 1e3:.2f} ms")
         return lines
 
 

@@ -16,7 +16,6 @@ from repro.disk.trace import IOTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.postmortem import LatencyBreakdown
-    from repro.obs.profile import SchedulerProfile
 
 
 @dataclass
@@ -102,6 +101,10 @@ class RunResult:
     queries: List[QueryResult]
     streams: List[StreamResult]
     trace: Optional[IOTrace] = None
+    #: Real (wall-clock) seconds spent inside the ABM over the run: the sum
+    #: over all seven ABM calls the simulator makes (``register``,
+    #: ``select_chunk``, ``next_load``, ``complete_load``, ``finish_chunk``,
+    #: ``unregister``, ``cancel``), each timed inline at its call site.
     scheduling_seconds: float = 0.0
     #: Number of scheduling decisions the policy made (select / load /
     #: eviction calls), for per-decision cost reporting; 0 for policies that
@@ -118,11 +121,6 @@ class RunResult:
     #: Fraction of disk requests that avoided a full seek (per-volume
     #: sequential or same-chunk accesses) — the seek-amortisation measure.
     disk_sequential_fraction: float = 0.0
-    #: Per-phase wall-clock breakdown of the scheduler
-    #: (:class:`repro.obs.profile.SchedulerProfile`): ``scheduling_seconds``
-    #: split over register / select_chunk / next_load / complete_load /
-    #: finish_chunk / unregister.  ``None`` for hand-built results.
-    scheduler_profile: Optional["SchedulerProfile"] = None
     #: Cumulative disk busy-seconds sampled at every disk completion:
     #: ``(time, total_busy_seconds_so_far)`` points, monotone in both
     #: coordinates.  Feeds the threshold alerts in :mod:`repro.obs.alerts`;

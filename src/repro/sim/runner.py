@@ -33,9 +33,9 @@ policy it always produces the same result.
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.common.config import SystemConfig
@@ -47,7 +47,6 @@ from repro.disk.multivolume import MultiVolumeDisk
 from repro.disk.request import IORequest, RequestKind
 from repro.disk.trace import IOTrace
 from repro.obs.postmortem import build_single_node_breakdown
-from repro.obs.profile import SchedulerProfile
 from repro.obs.recorder import (
     FlightRecorder,
     ObservabilityLike,
@@ -73,8 +72,6 @@ class _QueryRun:
     stream: int
     arrival_time: float = 0.0
     submit_time: Optional[float] = None
-    processing: bool = False
-    blocked: bool = False
     done: bool = False
     #: Virtual time at which the current chunk's CPU work completes (under
     #: processor sharing every running query progresses at the same rate, so
@@ -182,10 +179,6 @@ class ScanSimulator:
         self._cancelled = 0
         self._cpu_busy_area = 0.0
         self._scheduling_seconds = 0.0
-        #: Per-phase wall-clock accumulators behind ``scheduler_profile``
-        #: (always maintained; two dict updates per already-timed call).
-        self._phase_calls: Dict[str, int] = {}
-        self._phase_seconds: Dict[str, float] = {}
         #: Decision count the policy carried before this run (captured when
         #: the run starts), so a policy object reused across simulations
         #: reports per-run calls.
@@ -254,7 +247,7 @@ class ScanSimulator:
     # ``run()``.
     def begin_run(self) -> None:
         """Capture per-run baselines; call once before the first step."""
-        self._scheduling_calls_base = getattr(self._abm.policy, "scheduling_calls", 0)
+        self._scheduling_calls_base = self._abm.policy.scheduling_calls
 
     def is_done(self) -> bool:
         """``True`` once the source is drained and every query finished.
@@ -325,7 +318,9 @@ class ScanSimulator:
             # once stale entries dominate so long hedge/fail-stop runs don't
             # grow the heap (and its pop cost) without bound.
             self._maybe_compact_cpu_heap()
-        self._timed("cancel", lambda: self._abm.cancel(query_id, now))
+        started = perf_counter()
+        self._abm.cancel(query_id, now)
+        self._scheduling_seconds += perf_counter() - started
         self._cancelled += 1
         if self._obs is not None:
             self._obs.async_end(
@@ -478,10 +473,9 @@ class ScanSimulator:
                         num_bytes=operation.num_bytes,
                         triggered_by=operation.triggered_by,
                     )
-            woken = self._timed(
-                "complete_load",
-                lambda op=operation: self._abm.complete_load(op, self._now),
-            )
+            started = perf_counter()
+            woken = self._abm.complete_load(operation, self._now)
+            self._scheduling_seconds += perf_counter() - started
             if self._obs is not None:
                 self._obs.set_gauge(
                     self._obs_vol_util[volume], self._now,
@@ -532,18 +526,6 @@ class ScanSimulator:
             self._start_query(admitted)
 
     # -------------------------------------------------------------- plumbing
-    def _timed(self, phase: str, call: Callable):
-        started = time.perf_counter()
-        try:
-            return call()
-        finally:
-            elapsed = time.perf_counter() - started
-            self._scheduling_seconds += elapsed
-            self._phase_calls[phase] = self._phase_calls.get(phase, 0) + 1
-            self._phase_seconds[phase] = (
-                self._phase_seconds.get(phase, 0.0) + elapsed
-            )
-
     def _kick_disk(self) -> None:
         # Volumes freed by a completion first pick up their queued operations.
         for volume in sorted(self._pending_io):
@@ -558,9 +540,9 @@ class ScanSimulator:
         # single volume this degenerates to the classic one-load-at-a-time
         # loop: the first issued load makes the only volume busy.
         while len(self._inflight) < self._num_volumes:
-            operation = self._timed(
-                "next_load", lambda: self._abm.next_load(self._now)
-            )
+            started = perf_counter()
+            operation = self._abm.next_load(self._now)
+            self._scheduling_seconds += perf_counter() - started
             if operation is None:
                 return
             volume = self._disk.volume_of(operation.chunk)
@@ -634,17 +616,17 @@ class ScanSimulator:
                 chunks=spec.num_chunks, stream=admitted.stream,
                 query_class=spec.query_class,
             )
-        self._timed("register", lambda: self._abm.register(spec, self._now))
+        started = perf_counter()
+        self._abm.register(spec, self._now)
+        self._scheduling_seconds += perf_counter() - started
         self._dispatch(spec.query_id)
 
     def _dispatch(self, query_id: int) -> None:
         run = self._queries[query_id]
-        chunk = self._timed(
-            "select_chunk", lambda: self._abm.select_chunk(query_id, self._now)
-        )
+        started = perf_counter()
+        chunk = self._abm.select_chunk(query_id, self._now)
+        self._scheduling_seconds += perf_counter() - started
         if chunk is None:
-            run.blocked = True
-            run.processing = False
             run.block_start = self._now
             self._blocked.add(query_id)
             self._running.pop(query_id, None)
@@ -654,8 +636,6 @@ class ScanSimulator:
                     query=query_id,
                 )
             return
-        run.blocked = False
-        run.processing = True
         run.dispatch_time = self._now
         run.dispatch_chunk = chunk
         run.cpu_target = self._vtime + max(_EPS, run.spec.cpu_per_chunk)
@@ -667,7 +647,6 @@ class ScanSimulator:
 
     def _finish_chunk(self, query_id: int) -> None:
         run = self._running.pop(query_id)
-        run.processing = False
         if self._breakdowns:
             run.cpu_s += self._now - run.dispatch_time
         if self._obs is not None:
@@ -676,9 +655,9 @@ class ScanSimulator:
                 self._now - run.dispatch_time, self._pid, "cpu",
                 query=query_id, chunk=run.dispatch_chunk,
             )
-        self._timed(
-            "finish_chunk", lambda: self._abm.finish_chunk(query_id, self._now)
-        )
+        started = perf_counter()
+        self._abm.finish_chunk(query_id, self._now)
+        self._scheduling_seconds += perf_counter() - started
         handle = self._abm.handle(query_id)
         if handle.finished:
             self._complete_query(query_id, run)
@@ -688,9 +667,9 @@ class ScanSimulator:
     def _complete_query(self, query_id: int, run: _QueryRun) -> None:
         handle = self._abm.handle(query_id)
         delivery_order = tuple(handle.delivery_order)
-        self._timed(
-            "unregister", lambda: self._abm.unregister(query_id, self._now)
-        )
+        started = perf_counter()
+        self._abm.unregister(query_id, self._now)
+        self._scheduling_seconds += perf_counter() - started
         if self._obs is not None:
             self._obs.async_end(
                 run.spec.name, "exec", self._now, query_id,
@@ -754,17 +733,13 @@ class ScanSimulator:
             trace=self._trace,
             scheduling_seconds=self._scheduling_seconds,
             scheduling_calls=(
-                getattr(self._abm.policy, "scheduling_calls", 0)
-                - self._scheduling_calls_base
+                self._abm.policy.scheduling_calls - self._scheduling_calls_base
             ),
             num_chunks=self._abm.num_chunks,
             config=self._config.describe(),
             disk_utilisation=self._disk.utilisation(total_time),
             volume_utilisation=self._disk.per_volume_utilisation(total_time),
             disk_sequential_fraction=self._disk.sequential_fraction(),
-            scheduler_profile=SchedulerProfile.from_counts(
-                dict(self._phase_calls), dict(self._phase_seconds)
-            ),
             disk_busy_timeline=tuple(self._disk_busy_points),
         )
 

@@ -124,17 +124,16 @@ class TestClusterTrace:
     def test_jsonl_round_trips(self, traced):
         assert read_jsonl(to_jsonl(traced.obs)) == traced.obs.events
 
-    def test_merged_scheduler_profile_sums_shards(self, traced):
-        profile = traced.scheduler_profile
-        assert profile is not None
-        shard_profiles = [
-            run.scheduler_profile for run in traced.shard_runs
-        ]
-        assert profile.total_calls == sum(
-            p.total_calls for p in shard_profiles
-        )
-        assert profile.total_seconds == pytest.approx(
-            sum(p.total_seconds for p in shard_profiles)
+    def test_shard_runs_report_scheduling_counters(self, traced):
+        # Figure 8's counters are per shard run; every shard that executed
+        # a sub-query timed its ABM calls and counted its decisions.
+        busy = [run for run in traced.shard_runs if run.queries]
+        assert busy
+        for run in busy:
+            assert run.scheduling_calls > 0
+            assert run.scheduling_seconds > 0.0
+        assert sum(run.scheduling_calls for run in traced.shard_runs) == sum(
+            run.scheduling_calls for run in busy
         )
 
     def test_sharing_one_recorder_across_runs(self, workload, small_config):

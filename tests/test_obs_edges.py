@@ -1,20 +1,19 @@
 """Edge-case pins for the observability helpers.
 
-The empty-input paths of :class:`repro.obs.metrics.Histogram` and
-:class:`repro.obs.profile.SchedulerProfile` are load-bearing for postmortem
-reports on idle runs (a class with zero completions, a cluster merge over
-zero shards); these tests pin the all-zeros behaviour so a refactor can't
-silently reintroduce a division by zero.
+The empty-input paths of :class:`repro.obs.metrics.Histogram` and of the
+run's two scheduling counters (``RunResult.scheduling_seconds`` /
+``scheduling_calls``) are load-bearing for postmortem reports on idle runs
+(a class with zero completions, a policy that counts no decisions); these
+tests pin the all-zeros behaviour so a refactor can't silently reintroduce a
+division by zero.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profile import (
-    PhaseStats,
-    SchedulerProfile,
-    render_scheduler_profile,
-)
+from repro.sim.results import RunResult
 
 
 class TestEmptyHistogram:
@@ -47,40 +46,27 @@ class TestEmptyHistogram:
         assert summary.maximum == 2.0
 
 
-class TestSchedulerProfileEdges:
-    def test_merge_of_zero_profiles_is_empty(self):
-        merged = SchedulerProfile.merge([])
-        assert merged.phases == {}
-        assert merged.total_calls == 0
-        assert merged.total_seconds == 0.0
-        assert merged.per_decision_seconds == 0.0
-        assert merged.recorder_overhead_seconds == 0.0
+def _hand_built(**counters) -> RunResult:
+    return RunResult(
+        policy="relevance", total_time=2.0, io_requests=0, bytes_read=0,
+        cpu_utilisation=0.0, queries=[], streams=[], **counters,
+    )
 
-    def test_render_empty_profile_produces_sane_table(self):
-        table = render_scheduler_profile(SchedulerProfile.merge([]))
-        assert "total" in table
-        assert "0.000" in table
-        # No per-phase rows, no crash, still a framed table.
-        assert "phase" in table and "per-call" in table
 
-    def test_per_call_seconds_with_zero_calls(self):
-        assert PhaseStats().per_call_seconds == 0.0
+class TestSchedulingCounterEdges:
+    def test_per_decision_seconds_with_zero_calls(self):
+        # ``normal`` counts no decisions but its ABM calls are still timed.
+        result = _hand_built(scheduling_seconds=0.5, scheduling_calls=0)
+        assert result.per_decision_seconds == 0.0
+        assert result.scheduling_fraction == pytest.approx(0.25)
 
-    def test_phase_lookup_on_missing_name(self):
-        profile = SchedulerProfile()
-        stats = profile.phase("select_chunk")
-        assert stats.calls == 0 and stats.seconds == 0.0
+    def test_per_decision_seconds_divides_seconds_by_calls(self):
+        result = _hand_built(scheduling_seconds=0.002, scheduling_calls=4)
+        assert result.per_decision_seconds == pytest.approx(0.0005)
 
-    def test_merge_is_associative_with_empty(self):
-        profile = SchedulerProfile.from_counts(
-            {"select_chunk": 4}, {"select_chunk": 0.002}
-        )
-        merged = SchedulerProfile.merge([SchedulerProfile.merge([]), profile])
-        assert merged.total_calls == 4
-        assert merged.per_decision_seconds == profile.per_decision_seconds
-
-    def test_as_dict_on_empty_profile(self):
-        payload = SchedulerProfile().as_dict()
-        assert payload["total_calls"] == 0
-        assert payload["per_decision_seconds"] == 0.0
-        assert payload["phases"] == {}
+    def test_hand_built_result_has_zero_counters(self):
+        result = _hand_built()
+        assert result.scheduling_seconds == 0.0
+        assert result.scheduling_calls == 0
+        assert result.per_decision_seconds == 0.0
+        assert result.scheduling_fraction == 0.0

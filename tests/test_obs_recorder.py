@@ -40,14 +40,15 @@ class TestTraceEvent:
 class TestTraceRecorder:
     def test_appends_in_emission_order(self):
         recorder = TraceRecorder()
-        recorder.instant("b", "cat", 1.0, "p", "t")
-        recorder.instant("a", "cat", 0.5, "p", "t")
+        recorder.emit(TraceEvent("b", "cat", PH_INSTANT, 1.0, "p", "t"))
+        recorder.emit(TraceEvent("a", "cat", PH_INSTANT, 0.5, "p", "t"))
         assert [event.name for event in recorder.events] == ["b", "a"]
 
     def test_caps_events_and_counts_dropped(self):
         recorder = TraceRecorder(max_events=3)
         for index in range(5):
-            recorder.instant(f"e{index}", "cat", float(index), "p", "t")
+            recorder.emit(TraceEvent(f"e{index}", "cat", PH_INSTANT,
+                                     float(index), "p", "t"))
         assert len(recorder) == 3
         assert recorder.dropped == 2
         assert [event.name for event in recorder.events] == ["e0", "e1", "e2"]
