@@ -9,8 +9,9 @@ and the simulator mutates them as loads complete and queries consume data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import BufferPoolError
 
@@ -188,6 +189,9 @@ class BlockState:
     pages: int
     loaded_at: float
     last_used: float
+    #: The pool's load counter at ``complete_load``: the block's position in
+    #: the pool's iteration order, used to break ``last_used`` ties.
+    load_seq: int
     pin_count: int = 0
 
     @property
@@ -208,6 +212,17 @@ class DSMBlockPool:
     blocks have widely varying physical sizes (Section 6.1).  Blocks are keyed
     by ``(chunk, column)``; pinning happens per block so a query only protects
     the columns it actually reads.
+
+    The pool keeps its unpinned blocks in an LRU index ordered by
+    ``(last_used, load_seq)``, so eviction walks candidates oldest first and
+    stops as soon as it has freed enough pages instead of sorting the whole
+    pool.  ``load_seq`` is stamped from a per-pool counter at
+    ``complete_load``, so it increases along the pool's iteration order and
+    the index order equals a stable ``sort(key=last_used)`` over the pool.
+    Invariant: a block is in the index exactly when it is buffered and its
+    pin count is zero, under the key it had when its pin count last reached
+    zero (``last_used`` only changes on ``pin`` / ``unpin``).  Blocks of
+    reserved chunks stay in the index; :meth:`evictable_blocks` skips them.
     """
 
     def __init__(self, capacity_pages: int) -> None:
@@ -229,6 +244,11 @@ class DSMBlockPool:
         #: kept incrementally because ``used_pages`` sits on the hot path of
         #: every load and eviction decision.
         self._used_pages: int = 0
+        #: The LRU index of unpinned blocks: sort keys ``(last_used,
+        #: load_seq)`` and, at the same positions, the blocks themselves.
+        self._lru_keys: List[Tuple[float, int]] = []
+        self._lru_blocks: List[BlockState] = []
+        self._next_load_seq: int = 0
         self.loads_completed: int = 0
         self.evictions: int = 0
         #: Optional observer (the DSM ABM's interest tracker) notified when a
@@ -298,6 +318,33 @@ class DSMBlockPool:
             per_chunk[column].pages for column in wanted if column in per_chunk
         )
 
+    def evictable_blocks(
+        self, protect_chunks: Sequence[int] = ()
+    ) -> Iterator[BlockState]:
+        """Unpinned blocks of unreserved chunks outside ``protect_chunks``,
+        least recently used first (ties in pool order).
+
+        A lazy walk of the LRU index: a caller that stops early pays only
+        for the blocks it looked at.  Do not change the pool while the walk
+        is open.
+        """
+        reserved = self._reserved_chunks
+        for block in self._lru_blocks:
+            chunk = block.chunk
+            if chunk not in reserved and chunk not in protect_chunks:
+                yield block
+
+    def _index_add(self, state: BlockState) -> None:
+        entry = (state.last_used, state.load_seq)
+        position = bisect_left(self._lru_keys, entry)
+        self._lru_keys.insert(position, entry)
+        self._lru_blocks.insert(position, state)
+
+    def _index_remove(self, state: BlockState) -> None:
+        position = bisect_left(self._lru_keys, (state.last_used, state.load_seq))
+        del self._lru_keys[position]
+        del self._lru_blocks[position]
+
     # ----------------------------------------------------------- reservation
     def reserve_chunk(self, chunk: int) -> None:
         """Protect a chunk from eviction (a query picked it as its next chunk)."""
@@ -344,9 +391,12 @@ class DSMBlockPool:
             pages=pages,
             loaded_at=now,
             last_used=now,
+            load_seq=self._next_load_seq,
         )
+        self._next_load_seq += 1
         self._blocks[key] = state
         self._by_chunk.setdefault(chunk, {})[column] = state
+        self._index_add(state)
         self.loads_completed += 1
         if self.listener is not None:
             self.listener.on_block_loaded(chunk, column, pages)
@@ -355,6 +405,8 @@ class DSMBlockPool:
     def pin(self, key: BlockKey, now: float) -> None:
         """A query starts consuming this block."""
         state = self.block(key)
+        if state.pin_count == 0:
+            self._index_remove(state)
         state.pin_count += 1
         state.last_used = now
 
@@ -365,6 +417,8 @@ class DSMBlockPool:
             raise BufferPoolError(f"block {key} pin count already zero")
         state.pin_count -= 1
         state.last_used = now
+        if state.pin_count == 0:
+            self._index_add(state)
 
     def evict(self, key: BlockKey) -> int:
         """Evict an unpinned block; returns the number of pages freed."""
@@ -376,6 +430,7 @@ class DSMBlockPool:
                 f"cannot evict block {key}: chunk {state.chunk} is reserved"
             )
         del self._blocks[key]
+        self._index_remove(state)
         per_chunk = self._by_chunk[state.chunk]
         del per_chunk[state.column]
         if not per_chunk:
@@ -395,6 +450,9 @@ class DSMBlockPool:
         self._by_chunk.clear()
         self._loading.clear()
         self._reserved_chunks.clear()
+        self._lru_keys.clear()
+        self._lru_blocks.clear()
+        self._next_load_seq = 0
         self._used_pages = 0
         self.loads_completed = 0
         self.evictions = 0

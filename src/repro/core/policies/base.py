@@ -19,9 +19,9 @@ internal cursors (attach, elevator) without the ABM knowing about them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bufman.slots import BlockKey
+from repro.bufman.slots import BlockKey, BlockState
 from repro.core.cscan import CScanHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -43,7 +43,11 @@ class _PolicyBase(ABC):
         self.scheduling_calls = 0
 
     def bind(self, abm) -> None:
-        """Attach the policy to its buffer manager (called once by the ABM)."""
+        """Attach the policy to its buffer manager (called once per ABM).
+
+        A policy object may serve several runs in turn, one ABM each, so
+        subclasses that keep per-run state reset it here.
+        """
         self._abm = abm
 
     # Hooks with default no-op implementations -------------------------------
@@ -134,17 +138,12 @@ class DSMSchedulingPolicy(_PolicyBase):
         """
 
     # Shared helpers ----------------------------------------------------------
-    def _evictable_blocks(self, protect_chunks: Sequence[int] = ()) -> List:
-        """All unpinned, unreserved blocks excluding the given chunks."""
-        pool = self.abm.pool
-        protected = set(protect_chunks)
-        return [
-            block
-            for block in pool
-            if not block.pinned
-            and block.chunk not in protected
-            and not pool.is_reserved(block.chunk)
-        ]
+    def _evictable_blocks(
+        self, protect_chunks: Sequence[int] = ()
+    ) -> Iterator[BlockState]:
+        """Unpinned, unreserved blocks outside ``protect_chunks``, least
+        recently used first: a lazy walk of the pool's LRU index."""
+        return self.abm.pool.evictable_blocks(protect_chunks)
 
     def _lru_block_victims(
         self,
@@ -157,17 +156,14 @@ class DSMSchedulingPolicy(_PolicyBase):
         ``exclude_keys`` skips blocks a caller has already claimed in an
         earlier eviction pass.
         """
-        candidates = self._evictable_blocks(protect_chunks)
-        if exclude_keys:
-            excluded = set(exclude_keys)
-            candidates = [
-                block for block in candidates if block.key not in excluded
-            ]
-        candidates.sort(key=lambda block: block.last_used)
+        excluded = set(exclude_keys)
         victims: List[BlockKey] = []
         freed = 0
-        for block in candidates:
-            victims.append(block.key)
+        for block in self._evictable_blocks(protect_chunks):
+            key = block.key
+            if key in excluded:
+                continue
+            victims.append(key)
             freed += block.pages
             if freed >= pages_short:
                 return victims

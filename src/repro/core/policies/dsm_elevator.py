@@ -8,7 +8,7 @@ queries."
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bufman.slots import BlockKey
 from repro.core.cscan import CScanHandle
@@ -24,11 +24,15 @@ class DSMElevatorPolicy(DSMSchedulingPolicy):
         super().__init__()
         self._cursor = 0
 
+    def bind(self, abm) -> None:
+        super().bind(abm)
+        self._cursor = 0
+
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
         abm = self.abm
         pool = abm.pool
-        candidates = [chunk for chunk in handle.needed if abm.chunk_ready(handle, chunk)]
+        candidates = abm.tracker.available_chunks(handle.query_id)
         if not candidates:
             return None
 
@@ -79,19 +83,21 @@ class DSMElevatorPolicy(DSMSchedulingPolicy):
         self, trigger_query: int, incoming_chunk: int, pages_short: int, now: float
     ) -> Optional[List[BlockKey]]:
         abm = self.abm
-        candidates = [
-            block
-            for block in self._evictable_blocks(protect_chunks=(incoming_chunk,))
-            if abm.interested_count(block.chunk) == 0
-        ]
-        candidates.sort(key=lambda block: block.last_used)
         victims: List[BlockKey] = []
         freed = 0
-        for block in candidates:
-            victims.append(block.key)
-            freed += block.pages
-            if freed >= pages_short:
-                return victims
+        # Blocks of one chunk are spread over the LRU walk; ask for each
+        # chunk's interest once.
+        unneeded: Dict[int, bool] = {}
+        for block in self._evictable_blocks(protect_chunks=(incoming_chunk,)):
+            chunk = block.chunk
+            free = unneeded.get(chunk)
+            if free is None:
+                free = unneeded[chunk] = abm.interested_count(chunk) == 0
+            if free:
+                victims.append(block.key)
+                freed += block.pages
+                if freed >= pages_short:
+                    return victims
         # Stalling the cursor (returning None) is the authentic elevator
         # behaviour, and it is safe as long as the system can still make
         # progress without this load: some query is crunching a chunk, has a

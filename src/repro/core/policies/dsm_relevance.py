@@ -39,6 +39,10 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         #: (the "avoid data waste" rule).
         self._reservations: Dict[int, int] = {}
 
+    def bind(self, abm) -> None:
+        super().bind(abm)
+        self._reservations = {}
+
     # -------------------------------------------------------- starvation
     def query_starved(self, handle: CScanHandle) -> bool:
         """``queryStarved``: fewer ready chunks than the starvation threshold."""
@@ -199,10 +203,11 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         self, handle: CScanHandle
     ) -> Optional[Tuple[int, Tuple[str, ...]]]:
         abm = self.abm
+        ready = abm.tracker.available_chunks(handle.query_id)
         best: Optional[Tuple[int, Tuple[str, ...]]] = None
         best_score = -math.inf
         for chunk in handle.needed:
-            if abm.chunk_ready(handle, chunk):
+            if chunk in ready:
                 continue
             if not abm.missing_columns(chunk, handle.columns):
                 # Everything this query needs for the chunk is in flight.
@@ -228,19 +233,29 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         victims: List[BlockKey] = []
         freed = 0
 
+        useful: Dict[int, Set[str]] = {}
+
         def useful_columns(chunk: int) -> Set[str]:
-            columns: Set[str] = set()
-            for handle in abm.interested_handles(chunk):
-                columns.update(handle.columns)
+            columns = useful.get(chunk)
+            if columns is None:
+                columns = set()
+                for handle in abm.interested_handles(chunk):
+                    columns.update(handle.columns)
+                useful[chunk] = columns
             return columns
 
-        # Step 1: evict column blocks no interested query needs any more.
+        # One walk of the LRU index serves all three steps: the pool does not
+        # change until the ABM applies the victims.
+        evictable = list(self._evictable_blocks(protect_chunks=(incoming_chunk,)))
+
+        # Step 1: evict column blocks no interested query needs any more,
+        # largest first (the sort is stable, so LRU order breaks ties).
         useless = [
             block
-            for block in self._evictable_blocks(protect_chunks=(incoming_chunk,))
+            for block in evictable
             if block.column not in useful_columns(block.chunk)
         ]
-        useless.sort(key=lambda block: (-block.pages, block.last_used))
+        useless.sort(key=lambda block: -block.pages)
         for block in useless:
             victims.append(block.key)
             freed += block.pages
@@ -251,7 +266,7 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         chunk_candidates = sorted(
             {
                 block.chunk
-                for block in self._evictable_blocks(protect_chunks=(incoming_chunk,))
+                for block in evictable
                 if not trigger.is_interested(block.chunk)
             },
             key=lambda chunk: (self.keep_relevance(chunk), chunk),
@@ -271,11 +286,7 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         # interested in (other than the incoming one); without this the load
         # would be postponed even though lower-value data is buffered.
         remaining = sorted(
-            {
-                block.chunk
-                for block in self._evictable_blocks(protect_chunks=(incoming_chunk,))
-                if block.key not in claimed
-            },
+            {block.chunk for block in evictable if block.key not in claimed},
             key=lambda chunk: (self.keep_relevance(chunk), chunk),
         )
         for chunk in remaining:

@@ -31,6 +31,10 @@ class ElevatorPolicy(SchedulingPolicy):
         super().__init__()
         self._cursor = 0
 
+    def bind(self, abm) -> None:
+        super().bind(abm)
+        self._cursor = 0
+
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
         pool = self.abm.pool

@@ -27,6 +27,7 @@ from repro.sim.setup import make_dsm_abm, make_nsm_abm
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
 
+from tests.conftest import make_request
 from tests.naive_relevance import (
     NaiveTracker,
     use_naive_bookkeeping,
@@ -222,3 +223,41 @@ class TestSchedulingInstrumentation:
         first = run()
         second = run()
         assert _fingerprint(second) == _fingerprint(first)
+
+    @pytest.mark.parametrize("layout_kind", ["nsm", "dsm"])
+    def test_reused_elevator_restarts_its_cursor(
+        self, nsm_layout, dsm_layout, small_config, layout_kind
+    ):
+        """An elevator policy reused for a second run must schedule it
+        exactly as a fresh policy would: its global cursor starts again at
+        chunk 0, not where the previous run left it."""
+        from repro.core.policies import make_dsm_policy, make_policy
+
+        if layout_kind == "nsm":
+            run, layout, make = _run_nsm, nsm_layout, make_policy
+        else:
+            run, layout, make = _run_dsm, dsm_layout, make_dsm_policy
+        fresh, _ = run(layout, small_config, "closed", "own", policy="elevator")
+        policy = make("elevator")
+        run(layout, small_config, "closed", "own", policy=policy)
+        reused, _ = run(layout, small_config, "closed", "own", policy=policy)
+        assert _fingerprint(reused) == _fingerprint(fresh)
+
+    def test_reused_dsm_relevance_policy_reserves_in_its_new_pool(
+        self, dsm_layout, small_config
+    ):
+        """A DSM relevance policy rebound to a new ABM must not remember the
+        previous ABM's reservations: a blocked query's partly loaded chunk
+        is reserved in the new pool even though the abandoned ABM had the
+        same query reserve the same chunk."""
+        from repro.core.policies import make_dsm_policy
+
+        policy = make_dsm_policy("relevance")
+        request = make_request(0, range(4), columns=("key", "price"))
+        for _ in range(2):
+            abm = make_dsm_abm(dsm_layout, small_config, policy, capacity_pages=64)
+            abm.register(request, now=0.0)
+            abm.pool.start_load((2, "key"), abm.block_pages(2, "key"))
+            abm.pool.complete_load((2, "key"), now=0.0)
+            assert abm.select_chunk(0, now=1.0) is None
+            assert abm.pool.is_reserved(2)
