@@ -54,25 +54,14 @@ class ChunkSlotPool:
         #: availability stays consistent even when a driver mutates the pool
         #: directly.  Must provide ``on_chunk_loaded(chunk)`` and
         #: ``on_chunk_evicted(chunk)``; it may additionally provide
-        #: ``on_load_started(chunk)``, ``on_load_cancelled(chunk)`` and
-        #: ``on_pool_reset()`` (used by the vectorised tracker to maintain
-        #: its loading mask) — absent hooks are simply skipped.
+        #: ``on_load_started(chunk)`` (used by the vectorised tracker to
+        #: maintain its loading mask) — an absent hook is simply skipped.
         self.listener = None
 
     # ------------------------------------------------------------ inspection
-    @property
-    def capacity(self) -> int:
-        """Maximum number of chunks held (buffered plus in flight)."""
-        return self._capacity
 
     def __contains__(self, chunk: int) -> bool:
         return chunk in self._slots
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self) -> Iterator[ChunkSlot]:
-        return iter(self._slots.values())
 
     def buffered_chunks(self) -> List[int]:
         """Chunks currently fully loaded."""
@@ -121,15 +110,6 @@ class ChunkSlotPool:
         if hook is not None:
             hook(chunk)
 
-    def cancel_load(self, chunk: int) -> None:
-        """Abort an in-flight load reservation."""
-        if chunk not in self._loading:
-            raise BufferPoolError(f"chunk {chunk} is not being loaded")
-        self._loading.discard(chunk)
-        hook = getattr(self.listener, "on_load_cancelled", None)
-        if hook is not None:
-            hook(chunk)
-
     def complete_load(self, chunk: int, now: float) -> ChunkSlot:
         """Mark an in-flight load as finished; the chunk becomes buffered."""
         if chunk not in self._loading:
@@ -166,19 +146,6 @@ class ChunkSlotPool:
         if self.listener is not None:
             self.listener.on_chunk_evicted(chunk)
 
-    def reset(self) -> None:
-        """Drop all state (new run)."""
-        if self.listener is not None:
-            for chunk in list(self._slots):
-                self.listener.on_chunk_evicted(chunk)
-        self._slots.clear()
-        self._loading.clear()
-        self.loads_completed = 0
-        self.evictions = 0
-        hook = getattr(self.listener, "on_pool_reset", None)
-        if hook is not None:
-            hook()
-
 
 @dataclass
 class BlockState:
@@ -190,7 +157,7 @@ class BlockState:
     loaded_at: float
     last_used: float
     #: The pool's load counter at ``complete_load``: the block's position in
-    #: the pool's iteration order, used to break ``last_used`` ties.
+    #: load order, used to break ``last_used`` ties.
     load_seq: int
     pin_count: int = 0
 
@@ -217,8 +184,9 @@ class DSMBlockPool:
     ``(last_used, load_seq)``, so eviction walks candidates oldest first and
     stops as soon as it has freed enough pages instead of sorting the whole
     pool.  ``load_seq`` is stamped from a per-pool counter at
-    ``complete_load``, so it increases along the pool's iteration order and
-    the index order equals a stable ``sort(key=last_used)`` over the pool.
+    ``complete_load``, so it increases in load order and the index order
+    equals a stable ``sort(key=last_used)`` of the buffered blocks in load
+    order.
     Invariant: a block is in the index exactly when it is buffered and its
     pin count is zero, under the key it had when its pin count last reached
     zero (``last_used`` only changes on ``pin`` / ``unpin``).  Blocks of
@@ -258,20 +226,6 @@ class DSMBlockPool:
         self.listener = None
 
     # ------------------------------------------------------------ inspection
-    @property
-    def capacity_pages(self) -> int:
-        """Total page budget."""
-        return self._capacity_pages
-
-    def __contains__(self, key: BlockKey) -> bool:
-        return key in self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __iter__(self) -> Iterator[BlockState]:
-        return iter(self._blocks.values())
-
     def block(self, key: BlockKey) -> BlockState:
         """Return a buffered block (raises if absent)."""
         try:
@@ -286,10 +240,6 @@ class DSMBlockPool:
     def has_block(self, chunk: int, column: str) -> bool:
         """Whether the block is fully buffered."""
         return (chunk, column) in self._blocks
-
-    def buffered_chunks(self) -> Set[int]:
-        """Chunks with at least one buffered column block."""
-        return set(self._by_chunk)
 
     def blocks_of_chunk(self, chunk: int) -> List[BlockState]:
         """All buffered blocks belonging to one logical chunk."""
@@ -322,7 +272,7 @@ class DSMBlockPool:
         self, protect_chunks: Sequence[int] = ()
     ) -> Iterator[BlockState]:
         """Unpinned blocks of unreserved chunks outside ``protect_chunks``,
-        least recently used first (ties in pool order).
+        least recently used first (ties in load order).
 
         A lazy walk of the LRU index: a caller that stops early pays only
         for the blocks it looked at.  Do not change the pool while the walk
@@ -440,19 +390,3 @@ class DSMBlockPool:
         if self.listener is not None:
             self.listener.on_block_evicted(state.chunk, state.column, state.pages)
         return state.pages
-
-    def reset(self) -> None:
-        """Drop all state (new run)."""
-        if self.listener is not None:
-            for state in list(self._blocks.values()):
-                self.listener.on_block_evicted(state.chunk, state.column, state.pages)
-        self._blocks.clear()
-        self._by_chunk.clear()
-        self._loading.clear()
-        self._reserved_chunks.clear()
-        self._lru_keys.clear()
-        self._lru_blocks.clear()
-        self._next_load_seq = 0
-        self._used_pages = 0
-        self.loads_completed = 0
-        self.evictions = 0

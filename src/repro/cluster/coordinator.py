@@ -150,11 +150,6 @@ class ClusterQueryRecord:
     breakdown: Optional[LatencyBreakdown] = None
 
     @property
-    def num_subqueries(self) -> int:
-        """Number of per-shard sub-queries the query was split into."""
-        return len(self.shards)
-
-    @property
     def queue_wait(self) -> float:
         """Time spent waiting in the front admission queue."""
         return max(0.0, self.admit_time - self.submit_time)
@@ -315,11 +310,6 @@ class ClusterCoordinator:
         #: Shards whose lockstep probe may have changed since the driver
         #: last asked (``None``: every shard); see :meth:`take_touched`.
         self._touched: Optional[Set[int]] = set()
-
-    @property
-    def admission(self) -> AdmissionController:
-        """The front door's admission controller (counters, queues)."""
-        return self.frontdoor.admission
 
     # ------------------------------------------------------------ front door
     def next_arrival_time(self) -> Optional[float]:

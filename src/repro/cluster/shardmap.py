@@ -157,14 +157,6 @@ class ShardMap:
             for replica in range(self.replicas)
         )
 
-    def replicas_of(self, chunk: int) -> Tuple[int, ...]:
-        """Every shard storing a copy of the given global chunk."""
-        return self.replica_shards(self.shard_of(chunk))
-
-    def local_chunk(self, chunk: int) -> int:
-        """Local id of a global chunk on its *primary* shard."""
-        return self._local[self.shard_of(chunk)][chunk]
-
     def local_chunk_on(self, shard: int, chunk: int) -> int:
         """Local id of a global chunk on any shard that stores it."""
         try:
@@ -175,24 +167,11 @@ class ShardMap:
                 f"(replicas={self.replicas})"
             ) from exc
 
-    def chunks_on(self, shard: int) -> List[int]:
-        """All global chunks *stored* on one shard, in shard-local order."""
-        return list(self._stored[shard])
-
     def chunks_owned(self, shard: int) -> int:
         """Number of chunks one shard stores (its local table size)."""
         return len(self._stored[shard])
 
-    @property
-    def shard_sizes(self) -> Tuple[int, ...]:
-        """Chunks stored by each shard, indexed by shard."""
-        return tuple(self.chunks_owned(shard) for shard in range(self.num_shards))
-
     # ------------------------------------------------------------- planning
-    def shards_of(self, spec: ScanRequest) -> Tuple[int, ...]:
-        """The primary shards a query's chunk set touches, in shard order."""
-        return tuple(sorted({self.shard_of(chunk) for chunk in spec.chunks}))
-
     def plan_groups(self, spec: ScanRequest) -> Dict[int, Tuple[int, ...]]:
         """Group a query's *global* chunks by primary shard.
 
@@ -262,7 +241,7 @@ class ShardMap:
             "num_chunks": self.num_chunks,
             "num_shards": self.num_shards,
             "shard_placement": self.placement,
-            "shard_sizes": list(self.shard_sizes),
+            "shard_sizes": [len(stored) for stored in self._stored],
         }
         if self.replicas > 1:
             described["replicas"] = self.replicas

@@ -110,9 +110,8 @@ class BufferConfig:
     """Parameters of the (active) buffer manager.
 
     For NSM the capacity is expressed in chunks; for DSM it is expressed in
-    pages (because per-column chunk blocks have different physical sizes).
-    ``capacity_chunks`` and ``capacity_pages`` are alternative views over the
-    same quantity given ``chunk_bytes`` and ``page_bytes``.
+    pages (because per-column chunk blocks have different physical sizes),
+    derived from :attr:`capacity_bytes` and the layout's page size.
     """
 
     chunk_bytes: int = 16 * MB
@@ -129,16 +128,6 @@ class BufferConfig:
             )
         if self.capacity_chunks < 1:
             raise ConfigurationError("buffer capacity must be at least one chunk")
-
-    @property
-    def pages_per_chunk(self) -> int:
-        """Number of physical pages forming one NSM chunk."""
-        return self.chunk_bytes // self.page_bytes
-
-    @property
-    def capacity_pages(self) -> int:
-        """Buffer capacity expressed in pages."""
-        return self.capacity_chunks * self.pages_per_chunk
 
     @property
     def capacity_bytes(self) -> int:

@@ -227,11 +227,6 @@ class _BaseABM:
         bound policy's starvation threshold."""
         return self.num_available_chunks(handle) < self.starvation_threshold
 
-    def is_almost_starved(self, handle: CScanHandle) -> bool:
-        """On the border of starvation: at or below the almost-starved
-        threshold (used by ``keepRelevance``)."""
-        return self.num_available_chunks(handle) <= self.almost_starved_threshold
-
     def starved_handles(self) -> List[CScanHandle]:
         """All registered scans that are currently starved (registration
         order)."""

@@ -102,21 +102,10 @@ class CScanHandle:
         self.delivery_order: List[int] = []
 
     # ------------------------------------------------------------ inspection
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CScanHandle(q{self.query_id} {self.name!r} "
-            f"needed={len(self.needed)} consumed={len(self.consumed)})"
-        )
-
     @property
     def chunks_needed(self) -> int:
         """Number of chunks still needed (including the one being consumed)."""
         return len(self.needed)
-
-    @property
-    def total_chunks(self) -> int:
-        """Number of chunks the query asked for in total."""
-        return self.request.num_chunks
 
     @property
     def is_processing(self) -> bool:

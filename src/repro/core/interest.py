@@ -105,14 +105,6 @@ class _InterestBase:
         """Number of currently consumable chunks of the query."""
         return len(self._avail[query_id])
 
-    def is_starved(self, query_id: int) -> bool:
-        """Whether the query is below the starvation threshold."""
-        return self._starved_flag[query_id]
-
-    def is_almost_starved(self, query_id: int) -> bool:
-        """Whether the query is at or below the almost-starved threshold."""
-        return self._almost_flag[query_id]
-
     def starved_ids_ordered(self) -> List[int]:
         """Ids of the starved queries, in registration order."""
         return sorted(self._starved_ids, key=self._seq.__getitem__)
@@ -354,10 +346,9 @@ class VectorInterestTracker(InterestTracker):
     chunk ids, flipped incrementally as chunks are consumed — the mask
     always equals ``handle.needed`` (``needed.discard`` precedes the
     tracker's ``_drop_interest`` call) — plus two masks over the chunk
-    space, buffered and loading, fed by the pool's ``on_load_started`` /
-    ``on_load_cancelled`` listener hooks.  With them the relevance policy
-    scores candidates by pure mask arithmetic, with no per-call set
-    conversion and no pool probes.
+    space, buffered and loading, fed by the pool's listener hooks.  With
+    them the relevance policy scores candidates by pure mask arithmetic,
+    with no per-call set conversion and no pool probes.
     """
 
     def __init__(
@@ -415,9 +406,6 @@ class VectorInterestTracker(InterestTracker):
         return self._buffered_mask
 
     # ------------------------------------------------------ counter overrides
-    def interested_count(self, chunk: int) -> int:
-        return int(self._interest_arr[chunk])
-
     def starved_interested_count(self, chunk: int) -> int:
         return int(self._starved_arr[chunk])
 
@@ -503,10 +491,3 @@ class VectorInterestTracker(InterestTracker):
 
     def on_load_started(self, chunk: int) -> None:
         self._loading_mask[chunk] = True
-
-    def on_load_cancelled(self, chunk: int) -> None:
-        self._loading_mask[chunk] = False
-
-    def on_pool_reset(self) -> None:
-        self._buffered_mask[:] = False
-        self._loading_mask[:] = False

@@ -23,11 +23,6 @@ class LoadOperation:
     num_bytes: int
     evicted: Tuple[int, ...] = ()
 
-    @property
-    def io_requests(self) -> int:
-        """Number of I/O requests this operation counts as (always 1 in NSM)."""
-        return 1
-
 
 @dataclass(frozen=True)
 class ColumnLoad:
@@ -51,23 +46,3 @@ class DSMLoadOperation:
     triggered_by: int
     blocks: Tuple[ColumnLoad, ...]
     evicted: Tuple[BlockKey, ...] = ()
-
-    @property
-    def num_bytes(self) -> int:
-        """Total bytes transferred by this operation."""
-        return sum(block.num_bytes for block in self.blocks)
-
-    @property
-    def total_pages(self) -> int:
-        """Total pages transferred by this operation."""
-        return sum(block.pages for block in self.blocks)
-
-    @property
-    def io_requests(self) -> int:
-        """Number of I/O requests (one per column block)."""
-        return len(self.blocks)
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        """Columns loaded by this operation."""
-        return tuple(block.column for block in self.blocks)

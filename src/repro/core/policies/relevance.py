@@ -142,10 +142,6 @@ class RelevancePolicy(SchedulingPolicy):
         """``queryStarved`` from Figure 3 (with a configurable threshold)."""
         return self._available_count(handle) < self.parameters.starvation_threshold
 
-    def query_almost_starved(self, handle: CScanHandle) -> bool:
-        """Whether evicting one of the query's chunks could starve it."""
-        return self._available_count(handle) <= self.parameters.almost_starved_threshold
-
     # ------------------------------------------------- relevance functions
     def query_relevance(self, handle: CScanHandle, now: float) -> float:
         """``queryRelevance``: priority of scheduling a load for this query.

@@ -70,14 +70,6 @@ class DiskModel:
         )
         return seek, request.num_bytes / self.config.effective_bandwidth
 
-    def service_time(self, request: IORequest) -> float:
-        """Time to serve ``request`` given the current head position.
-
-        Does not mutate state; :meth:`serve` does.
-        """
-        seek, transfer = self.service_segments(request)
-        return seek + transfer
-
     def serve(self, request: IORequest) -> float:
         """Serve a request: update statistics and return its service time."""
         seek, transfer = self.service_segments(request)
@@ -90,21 +82,6 @@ class DiskModel:
         self.bytes_transferred += request.num_bytes
         self.busy_time += duration
         return duration
-
-    def reset(self) -> None:
-        """Clear head position and statistics (start of a new run)."""
-        self.last_chunk = None
-        self.requests_served = 0
-        self.sequential_requests = 0
-        self.bytes_transferred = 0
-        self.busy_time = 0.0
-        self.last_seek_s = 0.0
-
-    def sequential_fraction(self) -> float:
-        """Fraction of served requests that avoided the full seek."""
-        if self.requests_served <= 0:
-            return 0.0
-        return self.sequential_requests / self.requests_served
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` time the disk spent transferring data.
@@ -122,9 +99,3 @@ class DiskModel:
                 f"{elapsed:.9f}s: busy-time accounting is broken"
             )
         return min(1.0, self.busy_time / elapsed)
-
-    def achieved_bandwidth(self) -> float:
-        """Average bandwidth over the busy time (bytes/s)."""
-        if self.busy_time <= 0:
-            return 0.0
-        return self.bytes_transferred / self.busy_time

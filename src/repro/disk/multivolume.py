@@ -74,10 +74,6 @@ class MultiVolumeDisk:
         """Volume that serves requests for the given logical chunk."""
         return self.layout.volume_of(chunk)
 
-    def service_time(self, request: IORequest) -> float:
-        """Time the owning volume would need to serve ``request`` now."""
-        return self._model_for(request.chunk).service_time(self._localise(request))
-
     def serve(self, request: IORequest, now: Optional[float] = None) -> float:
         """Serve ``request`` on the volume owning its chunk.
 
@@ -131,9 +127,6 @@ class MultiVolumeDisk:
         for model in self.volumes:
             model.config = degraded
 
-    def _model_for(self, chunk: int) -> DiskModel:
-        return self.volumes[self.layout.volume_of(chunk)]
-
     def _localise(self, request: IORequest) -> IORequest:
         """Rewrite the chunk id to its volume-local position.
 
@@ -162,11 +155,6 @@ class MultiVolumeDisk:
         """Bytes transferred across all volumes."""
         return sum(model.bytes_transferred for model in self.volumes)
 
-    @property
-    def busy_time(self) -> float:
-        """Total head busy time summed over all volumes."""
-        return sum(model.busy_time for model in self.volumes)
-
     def sequential_fraction(self) -> float:
         """Fraction of all requests that avoided the full seek."""
         served = self.requests_served
@@ -183,15 +171,3 @@ class MultiVolumeDisk:
     def per_volume_utilisation(self, elapsed: float) -> Tuple[float, ...]:
         """Busy fraction of each volume over ``elapsed`` seconds."""
         return tuple(model.utilisation(elapsed) for model in self.volumes)
-
-    def achieved_bandwidth(self) -> float:
-        """Aggregate bandwidth over the summed busy time (bytes/s)."""
-        busy = self.busy_time
-        if busy <= 0:
-            return 0.0
-        return self.bytes_transferred / busy
-
-    def reset(self) -> None:
-        """Clear every volume's head position and statistics."""
-        for model in self.volumes:
-            model.reset()

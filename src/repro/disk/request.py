@@ -47,8 +47,3 @@ class IORequest:
             raise ValueError("chunk id must be non-negative")
         if self.num_bytes <= 0:
             raise ValueError("num_bytes must be positive")
-
-    @property
-    def is_column_block(self) -> bool:
-        """Whether the request is a DSM per-column block."""
-        return self.kind is RequestKind.DSM_COLUMN_BLOCK

@@ -10,7 +10,7 @@ events, sequentiality).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,6 @@ class IOTrace:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    @property
-    def total_bytes(self) -> int:
-        """Total bytes transferred over the whole run."""
-        return sum(event.num_bytes for event in self.events)
-
-    @property
-    def duration(self) -> float:
-        """Time of the last completed request (0 for an empty trace)."""
-        if not self.events:
-            return 0.0
-        return self.events[-1].time
-
-    def series(self) -> Tuple[List[float], List[int]]:
-        """Return (times, chunks) suitable for plotting Figure 4."""
-        times = [event.time for event in self.events]
-        chunks = [event.chunk for event in self.events]
-        return times, chunks
-
     # -------------------------------------------------------------- analysis
     def sequential_fraction(self) -> float:
         """Fraction of requests that read the chunk following the previous one.
@@ -89,10 +71,6 @@ class IOTrace:
             if current.chunk == previous.chunk + 1
         )
         return sequential / (len(self.events) - 1)
-
-    def distinct_chunks(self) -> int:
-        """Number of distinct chunks touched during the run."""
-        return len({event.chunk for event in self.events})
 
     def reread_count(self) -> int:
         """Number of requests that re-read an already-read chunk.

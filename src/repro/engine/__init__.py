@@ -14,8 +14,7 @@ Components:
 * :mod:`repro.engine.expressions` -- a small expression tree evaluated over
   chunk batches (comparisons, arithmetic, boolean logic);
 * :mod:`repro.engine.operators` -- Volcano-style operators: ``Scan``,
-  ``CScan`` (arbitrary delivery order), ``Select``, ``Project``,
-  ``HashAggregate``;
+  ``CScan`` (arbitrary delivery order), ``Select``, ``HashAggregate``;
 * :mod:`repro.engine.ordered_agg` -- chunk-aware ordered aggregation with
   border-group bookkeeping (Section 7.2);
 * :mod:`repro.engine.merge_join` -- classic merge join plus the Cooperative
@@ -28,7 +27,6 @@ from repro.engine.table import ChunkBatch, ColumnTable
 from repro.engine.expressions import (
     Expression,
     col,
-    const,
     BinaryExpression,
     ComparisonExpression,
     BooleanExpression,
@@ -38,7 +36,6 @@ from repro.engine.operators import (
     Scan,
     CScan,
     Select,
-    Project,
     HashAggregate,
     AggregateSpec,
     collect,
@@ -52,7 +49,6 @@ __all__ = [
     "ColumnTable",
     "Expression",
     "col",
-    "const",
     "BinaryExpression",
     "ComparisonExpression",
     "BooleanExpression",
@@ -60,7 +56,6 @@ __all__ = [
     "Scan",
     "CScan",
     "Select",
-    "Project",
     "HashAggregate",
     "AggregateSpec",
     "collect",

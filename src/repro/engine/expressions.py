@@ -3,7 +3,7 @@
 Expressions are built from column references and constants with overloaded
 operators, e.g.::
 
-    predicate = (col("l_shipdate") >= 8766) & (col("l_discount") > 0.05)
+    predicate = (col("l_shipdate") >= 8766) & (col("l_discount") >= 0.05)
     revenue = col("l_extendedprice") * col("l_discount")
 
 Evaluation happens per :class:`repro.engine.table.ChunkBatch` and is fully
@@ -29,22 +29,9 @@ class Expression:
         """Evaluate the expression over a batch, returning a numpy array."""
         raise NotImplementedError
 
-    def required_columns(self) -> set:
-        """Columns the expression reads (used to build scan column lists)."""
-        raise NotImplementedError
-
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other: "ExpressionLike") -> "BinaryExpression":
-        return BinaryExpression("+", self, wrap(other))
-
-    def __sub__(self, other: "ExpressionLike") -> "BinaryExpression":
-        return BinaryExpression("-", self, wrap(other))
-
     def __mul__(self, other: "ExpressionLike") -> "BinaryExpression":
         return BinaryExpression("*", self, wrap(other))
-
-    def __truediv__(self, other: "ExpressionLike") -> "BinaryExpression":
-        return BinaryExpression("/", self, wrap(other))
 
     # -- comparisons ---------------------------------------------------------
     def __lt__(self, other: "ExpressionLike") -> "ComparisonExpression":
@@ -53,30 +40,12 @@ class Expression:
     def __le__(self, other: "ExpressionLike") -> "ComparisonExpression":
         return ComparisonExpression("<=", self, wrap(other))
 
-    def __gt__(self, other: "ExpressionLike") -> "ComparisonExpression":
-        return ComparisonExpression(">", self, wrap(other))
-
     def __ge__(self, other: "ExpressionLike") -> "ComparisonExpression":
         return ComparisonExpression(">=", self, wrap(other))
-
-    def equals(self, other: "ExpressionLike") -> "ComparisonExpression":
-        """Equality comparison (named method because ``__eq__`` is kept for
-        normal object identity semantics)."""
-        return ComparisonExpression("==", self, wrap(other))
-
-    def not_equals(self, other: "ExpressionLike") -> "ComparisonExpression":
-        """Inequality comparison."""
-        return ComparisonExpression("!=", self, wrap(other))
 
     # -- boolean -------------------------------------------------------------
     def __and__(self, other: "ExpressionLike") -> "BooleanExpression":
         return BooleanExpression("and", self, wrap(other))
-
-    def __or__(self, other: "ExpressionLike") -> "BooleanExpression":
-        return BooleanExpression("or", self, wrap(other))
-
-    def __invert__(self) -> "BooleanExpression":
-        return BooleanExpression("not", self, None)
 
 
 ExpressionLike = Union[Expression, Number]
@@ -102,12 +71,6 @@ class ColumnRef(Expression):
     def evaluate(self, batch: ChunkBatch) -> np.ndarray:
         return batch.column(self.name)
 
-    def required_columns(self) -> set:
-        return {self.name}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"col({self.name!r})"
-
 
 class Constant(Expression):
     """A numeric literal."""
@@ -117,12 +80,6 @@ class Constant(Expression):
 
     def evaluate(self, batch: ChunkBatch) -> np.ndarray:
         return np.full(batch.num_rows, self.value)
-
-    def required_columns(self) -> set:
-        return set()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"const({self.value!r})"
 
 
 _ARITHMETIC: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
@@ -155,9 +112,6 @@ class BinaryExpression(Expression):
     def evaluate(self, batch: ChunkBatch) -> np.ndarray:
         return _ARITHMETIC[self.op](self.left.evaluate(batch), self.right.evaluate(batch))
 
-    def required_columns(self) -> set:
-        return self.left.required_columns() | self.right.required_columns()
-
 
 class ComparisonExpression(Expression):
     """Comparison between two expressions, producing a boolean mask."""
@@ -173,9 +127,6 @@ class ComparisonExpression(Expression):
         return _COMPARISONS[self.op](
             self.left.evaluate(batch), self.right.evaluate(batch)
         )
-
-    def required_columns(self) -> set:
-        return self.left.required_columns() | self.right.required_columns()
 
 
 class BooleanExpression(Expression):
@@ -201,18 +152,7 @@ class BooleanExpression(Expression):
             return left & right
         return left | right
 
-    def required_columns(self) -> set:
-        columns = self.left.required_columns()
-        if self.right is not None:
-            columns |= self.right.required_columns()
-        return columns
-
 
 def col(name: str) -> ColumnRef:
     """Shorthand constructor for a column reference."""
     return ColumnRef(name)
-
-
-def const(value: Number) -> Constant:
-    """Shorthand constructor for a numeric literal."""
-    return Constant(value)

@@ -74,9 +74,6 @@ class MergeJoin(Operator):
         self.inner_columns = list(inner_columns)
         self._last_key_seen: Optional[float] = None
 
-    def required_columns(self) -> set:
-        return self.outer.required_columns() | {self.outer_key}
-
     def __iter__(self) -> Iterator[ChunkBatch]:
         inner_keys = np.asarray(self.inner.column(self.inner_key))
         if np.any(inner_keys[1:] <= inner_keys[:-1]):
@@ -123,9 +120,6 @@ class CooperativeMergeJoin(Operator):
         self.inner_key = inner_key
         self.inner_columns = list(inner_columns)
         self.join_index = join_index
-
-    def required_columns(self) -> set:
-        return self.outer.required_columns() | {self.outer_key}
 
     def __iter__(self) -> Iterator[ChunkBatch]:
         inner_keys = np.asarray(self.inner.column(self.inner_key))

@@ -25,10 +25,6 @@ class Operator:
     def __iter__(self) -> Iterator[ChunkBatch]:
         raise NotImplementedError
 
-    def required_columns(self) -> set:
-        """Columns this operator (and its children) read from the scan."""
-        return set()
-
 
 class Scan(Operator):
     """A plain sequential scan: chunks are delivered in table order."""
@@ -51,9 +47,6 @@ class Scan(Operator):
 
     def __iter__(self) -> Iterator[ChunkBatch]:
         return self.table.iter_chunks(self.chunks, self.columns)
-
-    def required_columns(self) -> set:
-        return set(self.columns)
 
 
 class CScan(Operator):
@@ -84,9 +77,6 @@ class CScan(Operator):
     def __iter__(self) -> Iterator[ChunkBatch]:
         return self.table.iter_chunks(self.delivery_order, self.columns)
 
-    def required_columns(self) -> set:
-        return set(self.columns)
-
 
 class Select(Operator):
     """Filter rows of the child by a predicate expression."""
@@ -101,33 +91,6 @@ class Select(Operator):
             filtered = batch.filter(mask)
             if filtered.num_rows:
                 yield filtered
-
-    def required_columns(self) -> set:
-        return self.child.required_columns() | self.predicate.required_columns()
-
-
-class Project(Operator):
-    """Compute output columns from expressions over the child's batches."""
-
-    def __init__(self, child: Operator, outputs: Dict[str, Expression]) -> None:
-        if not outputs:
-            raise EngineError("projection needs at least one output column")
-        self.child = child
-        self.outputs = dict(outputs)
-
-    def __iter__(self) -> Iterator[ChunkBatch]:
-        for batch in self.child:
-            columns = {
-                name: np.asarray(expression.evaluate(batch))
-                for name, expression in self.outputs.items()
-            }
-            yield ChunkBatch(chunk=batch.chunk, start_row=batch.start_row, columns=columns)
-
-    def required_columns(self) -> set:
-        required = self.child.required_columns()
-        for expression in self.outputs.values():
-            required |= expression.required_columns()
-        return required
 
 
 @dataclass(frozen=True)
@@ -222,13 +185,6 @@ class HashAggregate(Operator):
 
     def __iter__(self) -> Iterator[ChunkBatch]:
         raise EngineError("HashAggregate produces a result(), not batches")
-
-    def required_columns(self) -> set:
-        required = self.child.required_columns() | set(self.keys)
-        for spec in self.aggregates:
-            if spec.expression is not None:
-                required |= spec.expression.required_columns()
-        return required
 
     def result(self) -> Dict[Tuple, Dict[str, float]]:
         """Consume the child and return ``{key_tuple: {agg_name: value}}``."""

@@ -67,13 +67,6 @@ class OrderedAggregate(Operator):
     def __iter__(self) -> Iterator[ChunkBatch]:
         raise EngineError("OrderedAggregate produces a result(), not batches")
 
-    def required_columns(self) -> set:
-        required = self.child.required_columns() | set(self.keys)
-        for spec in self.aggregates:
-            if spec.expression is not None:
-                required |= spec.expression.required_columns()
-        return required
-
     # ---------------------------------------------------------------- stats
     @property
     def interior_groups_emitted(self) -> int:

@@ -18,7 +18,7 @@ from repro.common.errors import EngineError
 from repro.core.abm import ActiveBufferManager
 from repro.core.cscan import ScanRequest
 from repro.core.policies import make_policy
-from repro.engine.operators import CScan, Scan
+from repro.engine.operators import CScan
 from repro.engine.table import ColumnTable
 
 
@@ -63,20 +63,7 @@ class Session:
         except KeyError as exc:
             raise EngineError(f"unknown table {name!r}") from exc
 
-    def table_names(self) -> List[str]:
-        """Names of all registered tables."""
-        return list(self._tables)
-
     # ----------------------------------------------------------------- scans
-    def scan(
-        self,
-        table: str,
-        columns: Optional[Sequence[str]] = None,
-        chunks: Optional[Sequence[int]] = None,
-    ) -> Scan:
-        """A plain in-order scan over a registered table."""
-        return Scan(self.table(table), columns=columns, chunks=chunks)
-
     def cscan(
         self,
         table: str,

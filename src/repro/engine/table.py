@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.common.errors import EngineError
 from repro.common.units import ceil_div
-from repro.storage.zonemap import ZoneMap, build_zonemap
 
 
 @dataclass
@@ -64,14 +63,6 @@ class ChunkBatch:
             columns={name: values[mask] for name, values in self.columns.items()},
         )
 
-    def project(self, names: Sequence[str]) -> "ChunkBatch":
-        """Return a new batch with only the given columns."""
-        return ChunkBatch(
-            chunk=self.chunk,
-            start_row=self.start_row,
-            columns={name: self.column(name) for name in names},
-        )
-
 
 class ColumnTable:
     """An in-memory table stored as one numpy array per column."""
@@ -95,7 +86,6 @@ class ColumnTable:
         if self.num_rows == 0:
             raise EngineError(f"table {name!r} is empty")
         self.tuples_per_chunk = tuples_per_chunk
-        self._zonemaps: Dict[str, ZoneMap] = {}
 
     # ----------------------------------------------------------- inspection
     @property
@@ -114,10 +104,6 @@ class ColumnTable:
             return self._columns[name]
         except KeyError as exc:
             raise EngineError(f"table {self.name!r} has no column {name!r}") from exc
-
-    def has_column(self, name: str) -> bool:
-        """Whether the column exists."""
-        return name in self._columns
 
     def chunk_bounds(self, chunk: int) -> Tuple[int, int]:
         """Half-open row range of one chunk."""
@@ -152,16 +138,3 @@ class ColumnTable:
         order = list(chunks) if chunks is not None else self.all_chunks()
         for chunk in order:
             yield self.read_chunk(chunk, columns)
-
-    # ------------------------------------------------------------ zone maps
-    def zonemap(self, column: str) -> ZoneMap:
-        """Build (and cache) the zone map of one column."""
-        if column not in self._zonemaps:
-            self._zonemaps[column] = build_zonemap(
-                column, np.asarray(self.column(column), dtype=float), self.tuples_per_chunk
-            )
-        return self._zonemaps[column]
-
-    def chunks_for_range(self, column: str, low: float, high: float) -> List[int]:
-        """Chunks that can contain values of ``column`` within ``[low, high]``."""
-        return self.zonemap(column).chunks_for_range(low, high)

@@ -1,9 +1,7 @@
 """Metrics, analytic models and report formatting.
 
-* :mod:`repro.metrics.analytic` -- the closed-form models of Sections 2-3 and
-  6.1: the buffer-reuse probability of Equation 1 / Figure 2 (plus a
-  Monte-Carlo cross-check), the expected I/O counts of the normal and
-  elevator policies, and the NSM/DSM block-reuse probabilities;
+* :mod:`repro.metrics.analytic` -- the buffer-reuse probability of
+  Equation 1 / Figure 2 (plus a Monte-Carlo cross-check);
 * :mod:`repro.metrics.stats` -- aggregation of simulation results into the
   system- and per-query statistics reported in Tables 2 and 3;
 * :mod:`repro.metrics.report` -- plain-text rendering of those statistics in
@@ -19,10 +17,6 @@ from repro.metrics.analytic import (
     buffer_reuse_probability,
     buffer_reuse_probability_curve,
     monte_carlo_reuse_probability,
-    expected_ios_normal,
-    expected_ios_elevator,
-    nsm_block_reuse_probability,
-    dsm_block_reuse_probability,
 )
 from repro.metrics.stats import (
     QueryTypeStats,
@@ -33,7 +27,6 @@ from repro.metrics.stats import (
     per_query_type_stats,
     compare_runs,
     percentile,
-    percentiles,
 )
 from repro.metrics.report import (
     format_table,
@@ -52,10 +45,6 @@ __all__ = [
     "buffer_reuse_probability",
     "buffer_reuse_probability_curve",
     "monte_carlo_reuse_probability",
-    "expected_ios_normal",
-    "expected_ios_elevator",
-    "nsm_block_reuse_probability",
-    "dsm_block_reuse_probability",
     "QueryTypeStats",
     "SystemStats",
     "PolicyComparison",
@@ -64,7 +53,6 @@ __all__ = [
     "per_query_type_stats",
     "compare_runs",
     "percentile",
-    "percentiles",
     "format_table",
     "render_policy_comparison",
     "render_query_table",

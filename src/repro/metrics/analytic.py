@@ -1,21 +1,14 @@
-"""Closed-form models from the paper.
+"""Closed-form model from the paper.
 
-These are the analytic results the paper uses to motivate Cooperative Scans:
-
-* Equation 1 / Figure 2 — the probability that a randomly-filled buffer pool
-  contains at least one chunk useful to a query (high even for small buffers
-  and selective queries, which is the sharing opportunity the normal policy
-  wastes);
-* the expected number of I/Os a *normal* (round-robin, no reuse) system
-  performs before a new query finishes: ``C_new + sum(min(C_new, C_q))``;
-* the worst-case I/Os for *elevator*: ``min(C_T, C_new + sum(C_q))``;
-* the NSM and DSM block-reuse probabilities of Section 6.1 (DSM divides the
-  NSM probability by the column-overlap probability).
+Equation 1 / Figure 2 — the probability that a randomly-filled buffer pool
+contains at least one chunk useful to a query (high even for small buffers
+and selective queries, which is the sharing opportunity the normal policy
+wastes) — plus a Monte-Carlo cross-check of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,62 +83,3 @@ def monte_carlo_reuse_probability(
         if np.intersect1d(buffered, wanted, assume_unique=True).size > 0:
             hits += 1
     return hits / trials
-
-
-def expected_ios_normal(new_query_chunks: int, running_query_chunks: Iterable[int]) -> int:
-    """Section 3: expected I/Os in the system until a fresh query finishes
-    under the *normal* policy (round-robin, no reuse)."""
-    if new_query_chunks < 0:
-        raise ConfigurationError("chunk counts must be non-negative")
-    return new_query_chunks + sum(
-        min(new_query_chunks, chunks) for chunks in running_query_chunks
-    )
-
-
-def expected_ios_elevator(
-    table_chunks: int, new_query_chunks: int, running_query_chunks: Iterable[int]
-) -> int:
-    """Section 3: worst-case I/Os until a fresh query finishes under *elevator*."""
-    if table_chunks <= 0:
-        raise ConfigurationError("table_chunks must be positive")
-    return min(table_chunks, new_query_chunks + sum(running_query_chunks))
-
-
-def nsm_block_reuse_probability(other_query_tuples: int, table_tuples: int) -> float:
-    """Section 6.1: probability that a block fetched for one query is also
-    used by another query reading ``other_query_tuples`` tuples (NSM)."""
-    if table_tuples <= 0:
-        raise ConfigurationError("table_tuples must be positive")
-    return min(1.0, other_query_tuples / table_tuples)
-
-
-def dsm_block_reuse_probability(
-    other_query_tuples: int, table_tuples: int, column_overlap_probability: float
-) -> float:
-    """Section 6.1: the DSM reuse probability adds the column-overlap factor."""
-    if not 0.0 <= column_overlap_probability <= 1.0:
-        raise ConfigurationError("column_overlap_probability must be in [0, 1]")
-    return (
-        nsm_block_reuse_probability(other_query_tuples, table_tuples)
-        * column_overlap_probability
-    )
-
-
-def average_query_latency_example() -> Dict[str, float]:
-    """The introduction's worked example: Q1 needs 30 chunks, Q2 needs 10.
-
-    Returns the average waiting times under round-robin (normal), the good
-    and bad elevator orders, and the optimal schedule — the numbers quoted in
-    Section 1 (30, 25, 35 and 25 chunks of waiting respectively).
-    """
-    q1, q2 = 30, 10
-    round_robin = ((2 * q2) + (q1 + q2)) / 2.0
-    elevator_good = (q2 + (q1 + q2)) / 2.0
-    elevator_bad = ((q1 + q2) + q1) / 2.0
-    optimal = elevator_good
-    return {
-        "normal_round_robin": round_robin,
-        "elevator_good_order": elevator_good,
-        "elevator_bad_order": elevator_bad,
-        "optimal": optimal,
-    }

@@ -50,14 +50,6 @@ def _percentile_sorted(data: Sequence[float], q: float) -> float:
     return float(data[lower]) + (float(data[upper]) - float(data[lower])) * fraction
 
 
-def percentiles(
-    values: Sequence[float], qs: Sequence[float] = (50.0, 95.0, 99.0)
-) -> Dict[float, float]:
-    """Several percentiles of the same sample, sorted once."""
-    data = sorted(values)
-    return {q: _percentile_sorted(data, q) for q in qs}
-
-
 @dataclass(frozen=True)
 class LatencySummary:
     """Distributional summary of a latency (or any duration) sample.
@@ -89,18 +81,6 @@ class LatencySummary:
             minimum=float(data[0]),
             maximum=float(data[-1]),
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary (for reports and SLO tables)."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
 
 
 @dataclass(frozen=True)

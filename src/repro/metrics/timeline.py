@@ -73,13 +73,6 @@ class Timeline:
         self.points = validate_timeline(points, where=where)
         self._times = [time for time, _ in self.points]
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def start(self) -> float:
-        return self.points[0][0] if self.points else 0.0
-
     @property
     def end(self) -> float:
         return self.points[-1][0] if self.points else 0.0

@@ -144,10 +144,6 @@ class Alert:
     top_phase: str = ""
     top_phase_share: float = 0.0
 
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.end - self.start)
-
 
 @dataclass(frozen=True)
 class QueryCompletion:

@@ -115,19 +115,6 @@ class TraceEvent:
             and self.args == other.args
         )
 
-    def __repr__(self) -> str:
-        return (
-            f"TraceEvent(name={self.name!r}, cat={self.cat!r}, "
-            f"ph={self.ph!r}, ts={self.ts!r}, pid={self.pid!r}, "
-            f"tid={self.tid!r}, dur={self.dur!r}, id={self.id!r}, "
-            f"args={self.args!r})"
-        )
-
-    @property
-    def end(self) -> float:
-        """Span end time (``ts`` itself for non-span events)."""
-        return self.ts + self.dur
-
     def as_dict(self) -> Dict[str, object]:
         """Flat dictionary for the JSONL exporter (exact round-trip)."""
         payload: Dict[str, object] = {

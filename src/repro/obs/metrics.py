@@ -5,7 +5,7 @@ Three instrument kinds, all recording ``(time, value)`` points:
 * :class:`Counter` — monotone cumulative total (`inc`), e.g. queries shed;
 * :class:`Gauge` — last-write-wins level (`set`), e.g. queue depth, MPL;
 * :class:`Histogram` — individual observations (`observe`), e.g. per-class
-  latency samples, summarised with the repo's type-7 percentiles.
+  latency samples.
 
 A :class:`MetricsRegistry` creates instruments on first use so call sites
 never pre-declare anything.  Points are appended in emission order; the
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.metrics.stats import LatencySummary
-
 
 class Counter:
     """Cumulative monotone counter; each `inc` appends the running total."""
@@ -29,10 +27,6 @@ class Counter:
         self.name = name
         self.points: List[Tuple[float, float]] = []
         self._total = 0.0
-
-    @property
-    def total(self) -> float:
-        return self._total
 
     def inc(self, now: float, delta: float = 1.0) -> None:
         self._total += delta
@@ -48,16 +42,12 @@ class Gauge:
         self.name = name
         self.points: List[Tuple[float, float]] = []
 
-    @property
-    def value(self) -> float:
-        return self.points[-1][1] if self.points else 0.0
-
     def set(self, now: float, value: float) -> None:
         self.points.append((now, value))
 
 
 class Histogram:
-    """Raw observations with a percentile summary on demand."""
+    """Raw observations, one point each."""
 
     __slots__ = ("name", "points")
 
@@ -65,15 +55,8 @@ class Histogram:
         self.name = name
         self.points: List[Tuple[float, float]] = []
 
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
     def observe(self, now: float, value: float) -> None:
         self.points.append((now, value))
-
-    def summary(self) -> LatencySummary:
-        return LatencySummary.from_values([value for _, value in self.points])
 
 
 class MetricsRegistry:
@@ -130,30 +113,3 @@ class MetricsRegistry:
             if name in table:
                 return table[name].points
         raise KeyError(f"unknown metric {name!r}")
-
-    def gauges(self) -> Dict[str, Gauge]:
-        return dict(self._gauges)
-
-    def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
-
-    def histograms(self) -> Dict[str, Histogram]:
-        return dict(self._histograms)
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly dump: final values plus histogram summaries."""
-        payload: Dict[str, object] = {}
-        for name, counter in sorted(self._counters.items()):
-            payload[name] = counter.total
-        for name, gauge in sorted(self._gauges.items()):
-            payload[name] = gauge.value
-        for name, histogram in sorted(self._histograms.items()):
-            summary = histogram.summary()
-            payload[name] = {
-                "count": summary.count,
-                "mean": summary.mean,
-                "p50": summary.p50,
-                "p95": summary.p95,
-                "max": summary.maximum,
-            }
-        return payload

@@ -108,22 +108,6 @@ class LatencyBreakdown:
         """Phase name -> seconds, in pipeline order."""
         return {name: getattr(self, name) for name in BREAKDOWN_PHASES}
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly view."""
-        payload: Dict[str, object] = {"total": self.total}
-        payload.update(self.phase_seconds())
-        payload["critical_shard"] = self.critical_shard
-        payload["origin"] = self.origin
-        return payload
-
-    def top_phase(self) -> Tuple[str, float]:
-        """The largest phase and its share of the total (0.0 when idle)."""
-        name = max(BREAKDOWN_PHASES, key=lambda phase: getattr(self, phase))
-        seconds = getattr(self, name)
-        if self.total <= 0.0:
-            return name, 0.0
-        return name, seconds / self.total
-
     def validate(self, end_to_end: Optional[float] = None,
                  where: str = "latency breakdown") -> None:
         """Assert the conservation law (and agreement with ``end_to_end``).
@@ -390,16 +374,6 @@ class ClassBlame:
         ranked = sorted(shares.items(), key=lambda item: -item[1])
         return [(name, share) for name, share in ranked[:n] if share > 0.0]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "tail_threshold_s": self.tail_threshold_s,
-            "tail_count": self.tail_count,
-            "shares": self.shares(),
-            "tail_shares": self.tail_shares(),
-        }
-
 
 @dataclass(frozen=True)
 class BlameReport:
@@ -407,23 +381,6 @@ class BlameReport:
 
     overall: ClassBlame
     classes: Tuple[ClassBlame, ...] = ()
-
-    def class_blame(self, query_class: str) -> ClassBlame:
-        for blame in self.classes:
-            if blame.query_class == query_class:
-                return blame
-        raise KeyError(
-            f"no class {query_class!r} in blame report "
-            f"(classes: {[blame.query_class for blame in self.classes]})"
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "overall": self.overall.as_dict(),
-            **{
-                blame.query_class: blame.as_dict() for blame in self.classes
-            },
-        }
 
 
 def _aggregate(

@@ -45,9 +45,6 @@ class TraceRecorder:
         self.max_events = max_events
         self.dropped = 0
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def emit(self, event: TraceEvent) -> None:
         if len(self.events) < self.max_events:
             self.events.append(event)
@@ -135,9 +132,6 @@ class FlightRecorder:
     def events(self) -> List[TraceEvent]:
         """All recorded trace events (empty when tracing is off)."""
         return [] if self.trace is None else self.trace.events
-
-    def events_named(self, name: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.name == name]
 
     def summary_lines(self) -> List[str]:
         """Human-readable one-liners about what the recorder captured."""

@@ -286,10 +286,6 @@ class AdmissionController:
             for name in self._order
         }
 
-    def shed_by_class(self) -> Dict[str, int]:
-        """Arrivals shed under overload, keyed by workload class."""
-        return {name: self._queues[name].shed_count for name in self._order}
-
     # ------------------------------------------------------------ lifecycle
     def offer(self, spec: ScanRequest, submit_time: float) -> Optional[QueuedQuery]:
         """Present one arrival to the controller.

@@ -66,11 +66,6 @@ class OpenSystemSource(QuerySource):
             obs=obs,
         )
 
-    @property
-    def admission(self) -> AdmissionController:
-        """The front door's admission controller (counters, queues)."""
-        return self.frontdoor.admission
-
     # ------------------------------------------------------------- interface
     def next_event_time(self) -> Optional[float]:
         return self.frontdoor.next_arrival_time()

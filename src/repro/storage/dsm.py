@@ -12,7 +12,7 @@ source of the "data waste" problem the DSM relevance functions must handle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.units import ceil_div
@@ -114,31 +114,6 @@ class DSMTableLayout:
         last = min(self.num_tuples, first + self.tuples_per_chunk)
         return first, last
 
-    def chunk_tuple_count(self, chunk: int) -> int:
-        """Number of tuples in a logical chunk."""
-        first, last = self.chunk_tuple_range(chunk)
-        return last - first
-
-    def chunk_of_tuple(self, tuple_index: int) -> int:
-        """Logical chunk holding the given tuple."""
-        if not 0 <= tuple_index < self.num_tuples:
-            raise StorageError(
-                f"tuple {tuple_index} out of range (table has {self.num_tuples})"
-            )
-        return tuple_index // self.tuples_per_chunk
-
-    def chunks_for_tuple_range(self, first_tuple: int, last_tuple: int) -> List[int]:
-        """Chunks overlapping the half-open tuple range ``[first, last)``."""
-        if first_tuple >= last_tuple:
-            return []
-        first_tuple = max(0, first_tuple)
-        last_tuple = min(self.num_tuples, last_tuple)
-        if first_tuple >= last_tuple:
-            return []
-        return list(
-            range(self.chunk_of_tuple(first_tuple), self.chunk_of_tuple(last_tuple - 1) + 1)
-        )
-
     # ----------------------------------------------------------------- columns
     def _column(self, name: str) -> ColumnSpec:
         return self.schema.column(name)
@@ -181,10 +156,6 @@ class DSMTableLayout:
     def chunk_pages(self, chunk: int, columns: Iterable[str]) -> int:
         """Total pages holding the given columns of one logical chunk."""
         return sum(self.block_pages(column, chunk) for column in columns)
-
-    def chunk_pages_all_columns(self, chunk: int) -> int:
-        """Total pages holding *all* columns of one logical chunk."""
-        return self.chunk_pages(chunk, self.schema.column_names)
 
     def table_pages(self, columns: Iterable[str] | None = None) -> int:
         """Total pages of the table restricted to ``columns`` (default: all)."""

@@ -9,7 +9,7 @@ given its schema and tuple count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.common.config import BufferConfig
 from repro.common.errors import StorageError
@@ -75,11 +75,6 @@ class NSMTableLayout:
         return int(self.chunk_bytes // self.tuple_bytes)
 
     @property
-    def pages_per_chunk(self) -> int:
-        """Number of pages forming one chunk."""
-        return self.chunk_bytes // self.page_bytes
-
-    @property
     def num_chunks(self) -> int:
         """Total number of chunks of the table (last one may be partial)."""
         return ceil_div(self.num_tuples, self.tuples_per_chunk)
@@ -113,30 +108,6 @@ class NSMTableLayout:
     def chunk_size_bytes(self, chunk: int) -> int:
         """Physical size of a chunk in bytes."""
         return int(round(self.chunk_tuple_count(chunk) * self.tuple_bytes))
-
-    def chunk_pages(self, chunk: int) -> int:
-        """Number of pages occupied by a chunk."""
-        return ceil_div(self.chunk_size_bytes(chunk), self.page_bytes)
-
-    def chunk_of_tuple(self, tuple_index: int) -> int:
-        """Chunk holding the given tuple."""
-        if not 0 <= tuple_index < self.num_tuples:
-            raise StorageError(
-                f"tuple {tuple_index} out of range (table has {self.num_tuples})"
-            )
-        return tuple_index // self.tuples_per_chunk
-
-    def chunks_for_tuple_range(self, first_tuple: int, last_tuple: int) -> List[int]:
-        """Chunks overlapping the half-open tuple range ``[first, last)``."""
-        if first_tuple >= last_tuple:
-            return []
-        first_tuple = max(0, first_tuple)
-        last_tuple = min(self.num_tuples, last_tuple)
-        if first_tuple >= last_tuple:
-            return []
-        first_chunk = self.chunk_of_tuple(first_tuple)
-        last_chunk = self.chunk_of_tuple(last_tuple - 1)
-        return list(range(first_chunk, last_chunk + 1))
 
     def all_chunks(self) -> Iterator[int]:
         """Iterate over all chunk ids in physical order."""

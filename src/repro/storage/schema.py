@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import StorageError
 from repro.storage.compression import CompressionScheme, NONE, physical_bits_per_value
@@ -125,21 +125,6 @@ class TableSchema:
                 return spec
         raise StorageError(f"table {self.name!r} has no column {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        """Whether a column with the given name exists."""
-        return any(c.name == name for c in self.columns)
-
-    def column_index(self, name: str) -> int:
-        """Position of a column within the schema."""
-        for index, spec in enumerate(self.columns):
-            if spec.name == name:
-                return index
-        raise StorageError(f"table {self.name!r} has no column {name!r}")
-
-    def subset(self, names: Iterable[str]) -> List[ColumnSpec]:
-        """Return the column specs for the given names (validating each)."""
-        return [self.column(name) for name in names]
-
     @property
     def tuple_logical_bytes(self) -> float:
         """Uncompressed width of one tuple (sum of logical column widths)."""
@@ -149,10 +134,6 @@ class TableSchema:
     def tuple_physical_bytes(self) -> float:
         """Compressed width of one tuple (sum of physical column widths)."""
         return sum(c.physical_bytes for c in self.columns)
-
-    def physical_bytes_for(self, names: Iterable[str]) -> float:
-        """Compressed width of the given column subset for one tuple."""
-        return sum(self.column(name).physical_bytes for name in names)
 
     def describe(self) -> Dict[str, float]:
         """Summary dictionary used by reports and examples."""

@@ -58,12 +58,6 @@ class ZoneMap:
             if not (self.maxima[chunk] < low or self.minima[chunk] > high)
         ]
 
-    def selectivity(self, low: float, high: float) -> float:
-        """Fraction of chunks that must be read for a range predicate."""
-        if self.num_chunks == 0:
-            return 0.0
-        return len(self.chunks_for_range(low, high)) / self.num_chunks
-
 
 def build_zonemap(
     column: str, values: np.ndarray, tuples_per_chunk: int

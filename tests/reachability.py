@@ -12,14 +12,22 @@ plus the ``test_*.py`` files under ``benchmarks/``.  Two passes:
   workload (``benchmarks.e2e.workloads.WORKLOADS``) and records the first
   call of each ``src/`` function; ``--benchmarks`` adds one run of every
   ``bench_*`` function through a stand-in ``benchmark`` fixture (they
-  write their usual outputs, ``BENCH_core.json`` included).  It prints
-  the functions nothing called, with their line counts, grouped by file.  Names that also appear as text under ``benchmarks/`` or
-  ``examples/`` are marked: they may be called on a paper-scale branch
-  the small runs skip.  The report gates nothing.
+  write their usual outputs under ``benchmarks/out/``, and their
+  ``BENCH_core.json`` rows go to a temporary file, so the tracked one is
+  left alone).  It prints the functions nothing called, with their line
+  counts, grouped by file.  Names that also appear as text under
+  ``benchmarks/`` or ``examples/`` are starred: they may be called on a
+  paper-scale branch the small runs skip.  It exits non-zero when an
+  uncalled function is neither starred nor listed in :data:`KEEP`, or
+  when a :data:`KEEP` entry no longer exists or was called (the last
+  check is skipped under ``--benchmarks``, which reaches more than the
+  runs :data:`KEEP` is pinned against).  Abstract functions, whether
+  ``@abstractmethod`` or a body that only raises, are never listed.
 
 Run from the repository root::
 
     PYTHONPATH=src python -m tests.reachability
+    PYTHONPATH=src python -m tests.reachability --functions
     PYTHONPATH=src python -m tests.reachability --functions --benchmarks
 
 Import-graph rules of the static pass:
@@ -45,6 +53,7 @@ import os
 import re
 import runpy
 import sys
+import tempfile
 import time
 import traceback
 from collections import defaultdict
@@ -240,6 +249,57 @@ def _print_static(tests_only: List[str], unreached: List[str]) -> None:
 
 
 # ---------------------------------------------------------- dynamic pass
+#: ``src/`` functions that the ``--functions`` runs never call and whose
+#: names appear nowhere under ``benchmarks/`` or ``examples/``, but that
+#: stay on purpose, keyed ``module:qualname``, one reason each.
+KEEP: Dict[str, str] = {
+    "repro.sim.lockstep:LockstepRunner._raise_deadlock": (
+        "the lockstep deadlock error; generated stall scenarios must reach it"
+    ),
+    "repro.sim.runner:ScanSimulator.progress_summary": (
+        "names the stalled queries in the deadlock error"
+    ),
+    "repro.cluster.coordinator:ClusterCoordinator.stall_detail": (
+        "names orphaned groups and down shards in the deadlock error"
+    ),
+    "repro.cluster.failures:random_failure_schedule": (
+        "seeded failure schedules for generated scenario tests"
+    ),
+    "repro.core.interest:VectorInterestTracker.starved_interested_count": (
+        "the base version reads _starved_interest, which this tracker never "
+        "updates, so it would return 0"
+    ),
+    "repro.core.interest:VectorInterestTracker.almost_starved_interested_count": (
+        "the base version reads _almost_interest, which this tracker never "
+        "updates, so it would return 0"
+    ),
+    "repro.engine.merge_join:MergeJoin.__iter__": (
+        "the in-order merge join, the reference CooperativeMergeJoin is "
+        "tested against"
+    ),
+    "repro.engine.merge_join:_join_batch": (
+        "CooperativeMergeJoin's path without a join index, and MergeJoin's"
+    ),
+    "repro.engine.table:ColumnTable.column_names": (
+        "the column list of Scan, CScan and read_chunk when none is given"
+    ),
+    "repro.obs.metrics:Counter.inc": (
+        "called by FlightRecorder.inc_counter, a traced recorder boundary"
+    ),
+    "repro.service.admission:layout_aware_job_size.<locals>.job_size": (
+        "the admission job-size estimator of DSM service runs"
+    ),
+    "repro.disk.trace:IOTrace.__len__": "only benchmarks reach it (Figure 4)",
+    "repro.disk.trace:IOTrace.__iter__": (
+        "scheduling_fingerprint lists a recorded trace; only benchmarks "
+        "record one"
+    ),
+    "repro.workload.synthetic:ten_column_schema": (
+        "only benchmarks reach it, through ten_column_layout (Table 4)"
+    ),
+}
+
+
 @dataclass(frozen=True)
 class SrcFunction:
     """One function or method defined in a ``src/`` file."""
@@ -253,24 +313,40 @@ class SrcFunction:
     def name(self) -> str:
         return self.qualname.rpartition(".")[2]
 
+    @property
+    def key(self) -> str:
+        """``module:qualname``, the form :data:`KEEP` uses."""
+        return f"{module_name(self.path)}:{self.qualname}"
+
 
 def _is_abstract(node: ast.AST) -> bool:
-    return any(
+    """``@abstractmethod``, or a body that is only an optional docstring
+    and a ``raise``."""
+    if any(
         (isinstance(d, ast.Name) and d.id == "abstractmethod")
         or (isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
         for d in node.decorator_list
-    )
+    ):
+        return True
+    body = node.body
+    if (
+        isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        body = body[1:]
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
 
 
-def src_functions() -> Dict[Tuple[str, int], SrcFunction]:
-    """Every non-abstract ``src/`` function, keyed like its code object:
-    ``(absolute file name, co_firstlineno)``."""
+def functions_in(tree: ast.AST, path: Path) -> Dict[Tuple[str, int], SrcFunction]:
+    """Every non-abstract function of one parsed file, keyed like its code
+    object: ``(file name, co_firstlineno)``."""
     functions: Dict[Tuple[str, int], SrcFunction] = {}
 
-    def visit(node: ast.AST, path: Path, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
+                visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{child.name}"
                 if not _is_abstract(child):
@@ -278,14 +354,54 @@ def src_functions() -> Dict[Tuple[str, int], SrcFunction]:
                     functions[(str(path), first)] = SrcFunction(
                         path, first, qualname, child.end_lineno - first + 1
                     )
-                visit(child, path, f"{qualname}.<locals>.")
+                visit(child, f"{qualname}.<locals>.")
             else:
-                visit(child, path, prefix)
+                visit(child, prefix)
 
+    visit(tree, "")
+    return functions
+
+
+def src_functions() -> Dict[Tuple[str, int], SrcFunction]:
+    """Every non-abstract ``src/`` function (see :func:`functions_in`)."""
+    functions: Dict[Tuple[str, int], SrcFunction] = {}
     for path in sorted(SRC.rglob("*.py")):
         path = path.resolve()
-        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path, "")
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions.update(functions_in(tree, path))
     return functions
+
+
+def gate_problems(
+    dead: Iterable[SrcFunction],
+    existing: Iterable[str],
+    mentioned: Set[str],
+    keep: Dict[str, str],
+    check_called: bool = True,
+) -> List[str]:
+    """Why the ``--functions`` gate fails, or ``[]`` when it passes.
+
+    ``dead`` are the uncalled functions, ``existing`` the keys of every
+    non-abstract ``src/`` function and ``mentioned`` the names that appear
+    under ``benchmarks/`` or ``examples/``.  An uncalled function must be
+    starred or in ``keep``; a ``keep`` entry must exist and, when
+    ``check_called``, must not have been called.
+    """
+    dead = list(dead)
+    problems = [
+        f"{fn.key} ({fn.path.relative_to(ROOT)}:{fn.first_line}) is never "
+        "called: delete it or add it to KEEP with a reason"
+        for fn in dead
+        if fn.name not in mentioned and fn.key not in keep
+    ]
+    existing = set(existing)
+    uncalled = {fn.key for fn in dead}
+    for key in keep:
+        if key not in existing:
+            problems.append(f"KEEP entry {key} no longer exists")
+        elif check_called and key not in uncalled:
+            problems.append(f"KEEP entry {key} was called: drop it from KEEP")
+    return problems
 
 
 def record_first_calls(run: Callable[[], None]) -> Set[Tuple[str, int]]:
@@ -385,6 +501,20 @@ def _names_in_entry_point_text() -> Set[str]:
     return names
 
 
+@contextlib.contextmanager
+def _bench_core_in_temp_dir():
+    """Point the benchmarks' ``BENCH_core.json`` writes at a temporary file."""
+    from benchmarks import _harness
+
+    saved = _harness.BENCH_CORE_PATH
+    with tempfile.TemporaryDirectory() as scratch:
+        _harness.BENCH_CORE_PATH = os.path.join(scratch, "BENCH_core.json")
+        try:
+            yield
+        finally:
+            _harness.BENCH_CORE_PATH = saved
+
+
 def functions_report(with_benchmarks: bool) -> int:
     failures: List[str] = []
     runs: List[Tuple[str, Callable[[], object]]] = []
@@ -392,19 +522,21 @@ def functions_report(with_benchmarks: bool) -> int:
     def run_all() -> None:
         # Imported under the recorder, so import-time calls count too.
         runs.extend(_entry_points(with_benchmarks))
-        for label, thunk in runs:
-            started = time.perf_counter()
-            try:
-                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                    thunk()
-            except SystemExit as error:
-                if error.code:
-                    failures.append(f"{label}: exited with {error.code}")
-            except Exception as error:  # one entry point failed; report the rest
-                traceback.print_exc()
-                failures.append(f"{label}: {type(error).__name__}: {error}")
-            print(f"  ran {label} in {time.perf_counter() - started:.1f} s",
-                  file=sys.stderr, flush=True)
+        elsewhere = _bench_core_in_temp_dir() if with_benchmarks else contextlib.nullcontext()
+        with elsewhere:
+            for label, thunk in runs:
+                started = time.perf_counter()
+                try:
+                    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                        thunk()
+                except SystemExit as error:
+                    if error.code:
+                        failures.append(f"{label}: exited with {error.code}")
+                except Exception as error:  # one entry point failed; report the rest
+                    traceback.print_exc()
+                    failures.append(f"{label}: {type(error).__name__}: {error}")
+                print(f"  ran {label} in {time.perf_counter() - started:.1f} s",
+                      file=sys.stderr, flush=True)
 
     started = time.perf_counter()
     called = {
@@ -421,7 +553,7 @@ def functions_report(with_benchmarks: bool) -> int:
         f"{len(runs)} runs in {elapsed:.0f} s on Python "
         f"{sys.version.split()[0]}"
     )
-    print("(* = the name also appears under benchmarks/ or examples/)")
+    print("(* = the name also appears under benchmarks/ or examples/; k = in KEEP)")
     by_file: Dict[Path, List[SrcFunction]] = defaultdict(list)
     for fn in dead:
         by_file[fn.path].append(fn)
@@ -432,18 +564,28 @@ def functions_report(with_benchmarks: bool) -> int:
             f"{sum(fn.lines for fn in group)} lines"
         )
         for fn in group:
-            mark = "*" if fn.name in mentioned else " "
+            mark = "*" if fn.name in mentioned else "k" if fn.key in KEEP else " "
             print(f"  {mark} {fn.first_line:5d} {fn.lines:4d}  {fn.qualname}")
     for failure in failures:
         print(f"FAILED {failure}")
-    return 1 if failures else 0
+    problems = gate_problems(
+        dead,
+        (fn.key for fn in functions.values()),
+        mentioned,
+        KEEP,
+        check_called=not with_benchmarks,
+    )
+    for problem in problems:
+        print(f"GATE {problem}")
+    return 1 if failures or problems else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--functions", action="store_true",
-        help="run the entry points and report src/ functions never called",
+        help="run the entry points, report src/ functions never called and "
+        "fail on one that is neither starred nor in KEEP",
     )
     parser.add_argument(
         "--benchmarks", action="store_true",

@@ -4,8 +4,9 @@
 LRU index ordered by ``(last_used, load_seq)`` and the DSM policies walk it
 through :meth:`DSMSchedulingPolicy._evictable_blocks`, stopping as soon as
 enough pages are freed.  :func:`oracle_evictable_blocks` answers the same
-question the obvious way -- a walk over every buffered block and a stable
-sort by ``last_used`` -- so it is correct by inspection.
+question the obvious way -- a walk over every buffered block, in the
+order their loads completed, and a stable sort by ``last_used`` -- so it
+is correct by inspection.
 :func:`use_oracle_eviction` swaps it into a policy object; the eviction
 oracle tests then compare victim lists and scheduling fingerprints.
 
@@ -23,11 +24,12 @@ def oracle_evictable_blocks(
     pool: DSMBlockPool, protect_chunks: Sequence[int] = ()
 ) -> List[BlockState]:
     """All unpinned, unreserved blocks outside ``protect_chunks``, least
-    recently used first, ties in pool iteration order."""
+    recently used first, ties in load order (the pool's block dict keeps
+    blocks in the order their loads completed)."""
     protected = set(protect_chunks)
     candidates = [
         block
-        for block in pool
+        for block in pool._blocks.values()
         if not block.pinned
         and block.chunk not in protected
         and not pool.is_reserved(block.chunk)

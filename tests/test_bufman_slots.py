@@ -34,14 +34,6 @@ class TestChunkSlotPool:
         with pytest.raises(BufferPoolError):
             pool.start_load(0)
 
-    def test_cancel_load(self):
-        pool = ChunkSlotPool(capacity=1)
-        pool.start_load(0)
-        pool.cancel_load(0)
-        assert pool.has_free_slot()
-        with pytest.raises(BufferPoolError):
-            pool.cancel_load(0)
-
     def test_pin_prevents_eviction(self):
         pool = ChunkSlotPool(capacity=2)
         pool.start_load(0)
@@ -78,14 +70,6 @@ class TestChunkSlotPool:
         pool.unpin(0, now=7.0)
         assert slot.last_used == 7.0
 
-    def test_reset(self):
-        pool = ChunkSlotPool(capacity=2)
-        pool.start_load(0)
-        pool.complete_load(0, now=0.0)
-        pool.reset()
-        assert len(pool) == 0
-        assert pool.loads_completed == 0
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(BufferPoolError):
             ChunkSlotPool(capacity=0)
@@ -115,7 +99,6 @@ class TestChunkSlotPool:
 
     def test_free_slots_accounting(self):
         pool = ChunkSlotPool(capacity=3)
-        assert pool.capacity == 3
         assert pool.free_slots() == 3
         pool.start_load(0)
         pool.start_load(1)
@@ -154,11 +137,11 @@ class TestChunkSlotPool:
             pool.start_load(chunk)
         for now, chunk in enumerate((5, 7, 2)):
             pool.complete_load(chunk, now=float(now))
-        assert [slot.chunk for slot in pool] == [5, 7, 2]
-        assert [slot.loaded_at for slot in pool] == [0.0, 1.0, 2.0]
-        assert len(pool) == 3
+        assert pool.buffered_chunks() == [5, 7, 2]
+        assert [pool.slot(chunk).loaded_at for chunk in (5, 7, 2)] == [0.0, 1.0, 2.0]
+        assert pool.in_use() == 3
 
-    def test_listener_sees_loads_evictions_and_reset(self):
+    def test_listener_sees_loads_and_evictions(self):
         events = []
 
         class Listener:
@@ -171,32 +154,19 @@ class TestChunkSlotPool:
             def on_load_started(self, chunk):
                 events.append(("started", chunk))
 
-            def on_load_cancelled(self, chunk):
-                events.append(("cancelled", chunk))
-
-            def on_pool_reset(self):
-                events.append(("reset",))
-
         pool = ChunkSlotPool(capacity=2)
         pool.listener = Listener()
         pool.start_load(0)
         pool.start_load(1)
-        pool.cancel_load(1)
         pool.complete_load(0, now=0.0)
         pool.evict(0)
-        pool.start_load(2)
-        pool.complete_load(2, now=1.0)
-        pool.reset()
+        pool.complete_load(1, now=1.0)
         assert events == [
             ("started", 0),
             ("started", 1),
-            ("cancelled", 1),
             ("loaded", 0),
             ("evicted", 0),
-            ("started", 2),
-            ("loaded", 2),
-            ("evicted", 2),
-            ("reset",),
+            ("loaded", 1),
         ]
 
     def test_listener_optional_hooks_may_be_absent(self):
@@ -213,21 +183,9 @@ class TestChunkSlotPool:
         pool.listener = MinimalListener()
         pool.start_load(0)
         pool.start_load(1)
-        pool.cancel_load(1)
-        pool.complete_load(0, now=0.0)
-        pool.reset()
-        assert events == [("loaded", 0), ("evicted", 0)]
-
-    def test_reset_drops_inflight_loads_and_counters(self):
-        pool = ChunkSlotPool(capacity=2)
-        pool.start_load(0)
         pool.complete_load(0, now=0.0)
         pool.evict(0)
-        pool.start_load(1)
-        pool.reset()
-        assert pool.loading_chunks() == []
-        assert pool.evictions == 0
-        assert pool.free_slots() == 2
+        assert events == [("loaded", 0), ("evicted", 0)]
 
 class TestDSMBlockPool:
     def test_load_lifecycle_and_page_accounting(self):
@@ -294,14 +252,15 @@ class TestDSMBlockPool:
         assert pool.chunk_cached_pages(0, ["a"]) == 10
         assert pool.chunk_cached_pages(1) == 0
 
-    def test_buffered_chunks_and_blocks_of_chunk(self):
+    def test_blocks_of_chunk(self):
         pool = DSMBlockPool(capacity_pages=100)
         pool.start_load((0, "a"), pages=5)
         pool.complete_load((0, "a"), now=0.0)
         pool.start_load((2, "b"), pages=5)
         pool.complete_load((2, "b"), now=0.0)
-        assert pool.buffered_chunks() == {0, 2}
         assert [block.column for block in pool.blocks_of_chunk(0)] == ["a"]
+        assert [block.column for block in pool.blocks_of_chunk(2)] == ["b"]
+        assert pool.blocks_of_chunk(1) == []
 
     def test_double_load_raises(self):
         pool = DSMBlockPool(capacity_pages=100)
@@ -313,16 +272,6 @@ class TestDSMBlockPool:
         pool = DSMBlockPool(capacity_pages=100)
         with pytest.raises(BufferPoolError):
             pool.start_load((0, "a"), pages=0)
-
-    def test_reset(self):
-        pool = DSMBlockPool(capacity_pages=100)
-        pool.start_load((0, "a"), pages=5)
-        pool.complete_load((0, "a"), now=0.0)
-        pool.reserve_chunk(0)
-        pool.reset()
-        assert pool.used_pages() == 0
-        assert not pool.is_reserved(0)
-        assert len(pool) == 0
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(BufferPoolError):
@@ -348,8 +297,7 @@ class TestDSMBlockPool:
         pool.start_load((1, "a"), pages=3)
         assert pool.is_loading((1, "a"))
         assert not pool.has_block(1, "a")
-        assert (1, "a") not in pool
-        assert pool.buffered_chunks() == set()
+        assert pool.blocks_of_chunk(1) == []
         state = pool.complete_load((1, "a"), now=2.0)
         assert not pool.is_loading((1, "a"))
         assert pool.has_block(1, "a")
@@ -393,10 +341,8 @@ class TestDSMBlockPool:
             pool.start_load((0, column), pages=2)
             pool.complete_load((0, column), now=0.0)
         pool.evict((0, "a"))
-        assert pool.buffered_chunks() == {0}
         assert [block.column for block in pool.blocks_of_chunk(0)] == ["b"]
         pool.evict((0, "b"))
-        assert pool.buffered_chunks() == set()
         assert pool.blocks_of_chunk(0) == []
         assert pool.chunk_cached_pages(0) == 0
 
@@ -408,7 +354,7 @@ class TestDSMBlockPool:
         assert pool.chunk_cached_pages(0, ["a", "b", "zzz"]) == 10
         assert pool.chunk_cached_pages(0, []) == 0
 
-    def test_listener_sees_loads_evictions_and_reset(self):
+    def test_listener_sees_loads_and_evictions(self):
         events = []
 
         class Listener:
@@ -425,10 +371,8 @@ class TestDSMBlockPool:
         pool.complete_load((0, "a"), now=0.0)
         pool.complete_load((1, "b"), now=0.0)
         pool.evict((0, "a"))
-        pool.reset()
         assert events == [
             ("loaded", 0, "a", 3),
             ("loaded", 1, "b", 4),
             ("evicted", 0, "a", 3),
-            ("evicted", 1, "b", 4),
         ]

@@ -296,7 +296,7 @@ class TestCostedCoordinator:
         result = self._run(tiny_schema, small_config)
         section = result.coordinator
         assert section is not None
-        subqueries = sum(record.num_subqueries for record in result.records)
+        subqueries = sum(len(record.shards) for record in result.records)
         # One scatter CPU charge per admitted query, one gather charge per
         # sub-query completion.
         assert section.cpu_ops == len(result.records) + subqueries
@@ -377,11 +377,11 @@ class TestCostedCoordinator:
             tiny_schema, small_config, obs=ObservabilityConfig()
         )
         recorder = result.obs
-        assert recorder.events_named("coordinator.cpu.scatter")
-        assert recorder.events_named("coordinator.net.scatter")
-        assert recorder.events_named("coordinator.net.gather")
-        gather_merges = recorder.events_named("coordinator.cpu.gather-merge")
-        assert len(gather_merges) == NUM_QUERIES
+        names = [event.name for event in recorder.events]
+        assert "coordinator.cpu.scatter" in names
+        assert "coordinator.net.scatter" in names
+        assert "coordinator.net.gather" in names
+        assert names.count("coordinator.cpu.gather-merge") == NUM_QUERIES
         assert "coordinator.cpu.util" in recorder.metrics.names()
         assert "coordinator.nic.util" in recorder.metrics.names()
 

@@ -70,13 +70,8 @@ class TestCpuConfig:
 
 
 class TestBufferConfig:
-    def test_pages_per_chunk(self):
-        buffer = BufferConfig(chunk_bytes=16 * MB, page_bytes=256 * 1024)
-        assert buffer.pages_per_chunk == 64
-
-    def test_capacity_pages_and_bytes(self):
+    def test_capacity_bytes(self):
         buffer = BufferConfig(chunk_bytes=16 * MB, page_bytes=256 * 1024, capacity_chunks=4)
-        assert buffer.capacity_pages == 256
         assert buffer.capacity_bytes == 64 * MB
 
     def test_chunk_must_be_multiple_of_page(self):
@@ -86,6 +81,18 @@ class TestBufferConfig:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigurationError):
             BufferConfig(capacity_chunks=0)
+
+    def test_rejects_non_positive_sizes(self):
+        with pytest.raises(ConfigurationError):
+            BufferConfig(chunk_bytes=0)
+        with pytest.raises(ConfigurationError):
+            BufferConfig(page_bytes=-1)
+
+    def test_defaults_match_the_paper(self):
+        buffer = BufferConfig()
+        assert buffer.chunk_bytes == 16 * MB
+        assert buffer.chunk_bytes // buffer.page_bytes == 64
+        assert buffer.capacity_bytes == 1024 * MB
 
 
 class TestSystemConfig:

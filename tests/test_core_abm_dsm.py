@@ -61,7 +61,7 @@ class TestChunkReadiness:
         assert not abm.chunk_ready(handle, 0)
         operation = abm.next_load(now=0.0)
         assert operation.chunk in (0, 1)
-        assert set(operation.columns) == {"key", "price"}
+        assert {block.column for block in operation.blocks} == {"key", "price"}
         abm.complete_load(operation, now=1.0)
         assert abm.chunk_ready(handle, operation.chunk)
         assert abm.num_available_chunks(handle) == 1
@@ -91,7 +91,7 @@ class TestChunkReadiness:
         abm = make_abm(dsm_layout)
         abm.register(make_request(1, [0], columns=("key", "price", "flag")), now=0.0)
         operation = abm.next_load(now=0.0)
-        assert operation.io_requests == 3
+        assert len(operation.blocks) == 3
         assert abm.io_requests == 1
         assert abm.column_block_requests == 3
 
@@ -165,7 +165,7 @@ class TestDSMPolicies:
         abm.register(make_request(2, [3, 4], columns=("price",)), now=0.0)
         operation = abm.next_load(now=0.0)
         assert operation.chunk == 3
-        assert set(operation.columns) == {"key", "price"}
+        assert {block.column for block in operation.blocks} == {"key", "price"}
 
     def test_relevance_reserves_partially_loaded_chunk(self, dsm_layout):
         abm = make_abm(dsm_layout, policy="relevance", capacity_pages=400)

@@ -134,7 +134,7 @@ class TestStarvation:
             abm.complete_load(operation, now=1.0)
             assert abm.num_available_chunks(handle) == expected_available
         assert not abm.is_starved(handle)
-        assert abm.is_almost_starved(handle)
+        assert abm.almost_starved_interested_count(7) == 1
 
     def test_starved_handles_listing(self):
         abm = make_abm(capacity=8)
@@ -166,4 +166,4 @@ class TestEvictionPath:
             if chunk is not None:
                 abm.finish_chunk(1, now=2.0)
         # The pool never exceeds its capacity.
-        assert len(abm.pool) + len(abm.pool.loading_chunks()) <= 2
+        assert abm.pool.in_use() <= 2

@@ -70,7 +70,7 @@ class TestCScanHandle:
     def test_initial_state(self):
         handle = self.make_handle()
         assert handle.chunks_needed == 3
-        assert handle.total_chunks == 3
+        assert handle.request.num_chunks == 3
         assert not handle.is_processing
         assert not handle.is_blocked
         assert not handle.finished

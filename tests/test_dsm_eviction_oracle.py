@@ -47,11 +47,9 @@ KEYS = tuple((chunk, column) for chunk in CHUNKS for column in COLUMNS)
 #: Few distinct clock values, out of order: ties and time going backwards
 #: are both common.
 TIMES = (0.0, 1.0, 1.0, 2.0, 0.5, 3.0)
-#: ``reset`` is listed once among many so sequences build up state first.
 OPS = (
     "start", "start", "start", "complete", "complete", "complete",
     "pin", "pin", "unpin", "unpin", "reserve", "release", "evict", "evict",
-    "reset",
 )
 
 op_sequences = st.lists(
@@ -71,10 +69,14 @@ def _pick(candidates: list, index: int):
 def _apply(pool: DSMBlockPool, op: str, index: int, now: float) -> None:
     """Apply one operation to a valid target chosen by ``index`` (a no-op
     when the operation has no valid target)."""
-    buffered = [key for key in KEYS if key in pool]
+    buffered = [key for key in KEYS if pool.has_block(*key)]
     if op == "start":
         key = _pick(
-            [key for key in KEYS if key not in pool and not pool.is_loading(key)],
+            [
+                key
+                for key in KEYS
+                if not pool.has_block(*key) and not pool.is_loading(key)
+            ],
             index,
         )
         pages = 1 + index % 3
@@ -109,8 +111,6 @@ def _apply(pool: DSMBlockPool, op: str, index: int, now: float) -> None:
         )
         if key is not None:
             pool.evict(key)
-    else:
-        pool.reset()
 
 
 def _assert_index_matches_oracle(pool: DSMBlockPool) -> None:

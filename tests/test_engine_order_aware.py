@@ -117,9 +117,6 @@ class TestOrderedAggregate:
             def __iter__(self):
                 return iter(self._batches)
 
-            def required_columns(self):
-                return set()
-
         wrapped = OrderedAggregate(
             _Wrapper(clustered_table.iter_chunks([0, 0], columns=["key", "value"])),
             keys=["key"],
@@ -223,8 +220,7 @@ class TestSession:
     def test_register_and_scan(self, clustered_table):
         session = Session()
         session.register_table(clustered_table)
-        assert session.table_names() == ["clustered"]
-        rows = sum(batch.num_rows for batch in session.scan("clustered"))
+        rows = sum(batch.num_rows for batch in Scan(session.table("clustered")))
         assert rows == clustered_table.num_rows
 
     def test_duplicate_registration(self, clustered_table):
@@ -260,7 +256,7 @@ class TestSession:
         cooperative_sum = collect(
             session.cscan("clustered", run.delivery_orders[0], columns=["value"])
         )["value"].sum()
-        plain_sum = collect(session.scan("clustered", columns=["value"]))["value"].sum()
+        plain_sum = collect(Scan(clustered_table, columns=["value"]))["value"].sum()
         assert cooperative_sum == pytest.approx(plain_sum)
 
     def test_run_cooperative_validates_chunks(self, clustered_table):

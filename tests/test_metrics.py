@@ -5,14 +5,9 @@ import math
 import pytest
 
 from repro.metrics.analytic import (
-    average_query_latency_example,
     buffer_reuse_probability,
     buffer_reuse_probability_curve,
-    dsm_block_reuse_probability,
-    expected_ios_elevator,
-    expected_ios_normal,
     monte_carlo_reuse_probability,
-    nsm_block_reuse_probability,
 )
 from repro.metrics.reference import (
     TPCH_2006_RESULTS,
@@ -74,6 +69,24 @@ class TestEquationOne:
         large = dict(curves[0.5])
         assert all(large[demand] >= small[demand] for demand in (1, 10, 100))
 
+    def test_overlap_certain_when_demand_and_buffer_exceed_table(self):
+        # 60 + 50 > 100: any 50 buffered chunks must include a wanted one.
+        assert buffer_reuse_probability(100, 60, 50) == 1.0
+
+    def test_symmetric_in_demand_and_buffer(self):
+        # Both are uniformly random subsets, so swapping their sizes keeps
+        # the chance that they are disjoint.
+        for demand, buffer in ((3, 17), (10, 25), (1, 99)):
+            assert buffer_reuse_probability(100, demand, buffer) == pytest.approx(
+                buffer_reuse_probability(100, buffer, demand)
+            )
+
+    def test_monte_carlo_is_seeded(self):
+        first = monte_carlo_reuse_probability(40, 4, 6, trials=500, seed=7)
+        assert first == monte_carlo_reuse_probability(40, 4, 6, trials=500, seed=7)
+        assert monte_carlo_reuse_probability(40, 0, 6, trials=500) == 0.0
+        assert monte_carlo_reuse_probability(40, 4, 0, trials=500) == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
             buffer_reuse_probability(0, 0, 0)
@@ -81,30 +94,6 @@ class TestEquationOne:
             buffer_reuse_probability(100, 101, 10)
         with pytest.raises(ConfigurationError):
             monte_carlo_reuse_probability(10, 1, 1, trials=0)
-
-
-class TestExpectedIOs:
-    def test_normal_formula(self):
-        # Example from Section 1: Q1=30 chunks running, Q2=10 arrives.
-        assert expected_ios_normal(10, [30]) == 20
-
-    def test_elevator_capped_by_table(self):
-        assert expected_ios_elevator(100, 80, [90]) == 100
-        assert expected_ios_elevator(1000, 80, [90]) == 170
-
-    def test_reuse_probabilities(self):
-        nsm = nsm_block_reuse_probability(1000, 10_000)
-        assert nsm == pytest.approx(0.1)
-        dsm = dsm_block_reuse_probability(1000, 10_000, 0.5)
-        assert dsm == pytest.approx(0.05)
-        with pytest.raises(ConfigurationError):
-            dsm_block_reuse_probability(1, 10, 2.0)
-
-    def test_intro_example_latencies(self):
-        example = average_query_latency_example()
-        assert example["normal_round_robin"] == pytest.approx(30.0)
-        assert example["elevator_good_order"] == pytest.approx(25.0)
-        assert example["elevator_bad_order"] == pytest.approx(35.0)
 
 
 class TestReferenceTable:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.stats import LatencySummary, percentile, percentiles
+from repro.metrics.stats import LatencySummary, percentile
 
 
 class TestPercentile:
@@ -55,16 +55,6 @@ class TestPercentile:
             percentile([1.0], 101)
 
 
-class TestPercentiles:
-    def test_default_slo_percentiles(self):
-        values = list(range(1, 101))
-        result = percentiles(values)
-        assert set(result) == {50.0, 95.0, 99.0}
-        assert result[50.0] == pytest.approx(50.5)
-        assert result[95.0] == pytest.approx(95.05)
-        assert result[99.0] == pytest.approx(99.01)
-
-
 class TestLatencySummary:
     def test_from_values(self):
         summary = LatencySummary.from_values([4.0, 1.0, 3.0, 2.0])
@@ -81,8 +71,19 @@ class TestLatencySummary:
         assert summary.p95 == 0.0
         assert summary.maximum == 0.0
 
-    def test_as_dict_round_trip(self):
-        summary = LatencySummary.from_values([1.0, 2.0])
-        flat = summary.as_dict()
-        assert flat["count"] == 2.0
-        assert flat["p95"] == summary.p95
+    def test_tail_percentiles_of_1_to_100(self):
+        summary = LatencySummary.from_values(list(range(1, 101)))
+        assert summary.p50 == pytest.approx(50.5)
+        assert summary.p95 == pytest.approx(95.05)
+        assert summary.p99 == pytest.approx(99.01)
+
+    def test_single_value_fills_every_field(self):
+        summary = LatencySummary.from_values([3.5])
+        assert summary.count == 1
+        assert (summary.mean, summary.p50, summary.p95, summary.p99) == (3.5,) * 4
+        assert (summary.minimum, summary.maximum) == (3.5, 3.5)
+
+    def test_input_is_not_reordered(self):
+        values = [4.0, 1.0, 3.0]
+        LatencySummary.from_values(values)
+        assert values == [4.0, 1.0, 3.0]

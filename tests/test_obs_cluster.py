@@ -82,8 +82,8 @@ class TestClusterTrace:
         }
 
     def test_scatter_and_gather_bracket_every_query(self, traced):
-        scatters = traced.obs.events_named("cluster.scatter")
-        gathers = traced.obs.events_named("cluster.gather")
+        scatters = [e for e in traced.obs.events if e.name == "cluster.scatter"]
+        gathers = [e for e in traced.obs.events if e.name == "cluster.gather"]
         assert len(scatters) == NUM_QUERIES
         assert len(gathers) == NUM_QUERIES
         gathered_at = {e.args["query"]: e.ts for e in gathers}
@@ -92,8 +92,10 @@ class TestClusterTrace:
             assert gathered_at[scatter.args["query"]] >= scatter.ts - 1e-9
 
     def test_subquery_completions_count_down_to_gather(self, traced):
-        completions = traced.obs.events_named("cluster.subquery.complete")
-        scatters = traced.obs.events_named("cluster.scatter")
+        completions = [
+            e for e in traced.obs.events if e.name == "cluster.subquery.complete"
+        ]
+        scatters = [e for e in traced.obs.events if e.name == "cluster.scatter"]
         expected = sum(event.args["subqueries"] for event in scatters)
         assert len(completions) == expected
         assert sum(

@@ -1,10 +1,9 @@
 """Edge-case pins for the observability helpers.
 
-The empty-input paths of :class:`repro.obs.metrics.Histogram` and of the
-run's two scheduling counters (``RunResult.scheduling_seconds`` /
-``scheduling_calls``) are load-bearing for postmortem reports on idle runs
-(a class with zero completions, a policy that counts no decisions); these
-tests pin the all-zeros behaviour so a refactor can't silently reintroduce a
+The empty-input paths of the run's two scheduling counters
+(``RunResult.scheduling_seconds`` / ``scheduling_calls``) are load-bearing
+for reports on idle runs (a policy that counts no decisions); these tests
+pin the all-zeros behaviour so a refactor can't silently reintroduce a
 division by zero.
 """
 
@@ -12,38 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.results import RunResult
-
-
-class TestEmptyHistogram:
-    def test_summary_on_zero_observations_is_all_zeros(self):
-        summary = Histogram("lat").summary()
-        assert summary.count == 0
-        assert summary.mean == 0.0
-        assert summary.p50 == 0.0
-        assert summary.p95 == 0.0
-        assert summary.p99 == 0.0
-        assert summary.minimum == 0.0
-        assert summary.maximum == 0.0
-
-    def test_registry_as_dict_with_empty_histogram(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat")
-        registry.counter("hits")
-        payload = registry.as_dict()
-        assert payload["lat"] == {
-            "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0,
-        }
-        assert payload["hits"] == 0.0
-
-    def test_observing_after_empty_summary_still_works(self):
-        histogram = Histogram("lat")
-        assert histogram.summary().count == 0
-        histogram.observe(0.0, 2.0)
-        summary = histogram.summary()
-        assert summary.count == 1
-        assert summary.maximum == 2.0
 
 
 def _hand_built(**counters) -> RunResult:

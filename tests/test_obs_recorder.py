@@ -31,10 +31,18 @@ class TestTraceEvent:
         assert base != TraceEvent("a", "cat", PH_INSTANT, 0.0, "p", "t",
                                   args={"x": 1})
 
-    def test_complete_span_end(self):
-        event = TraceEvent("cpu.chunk", "cpu", PH_COMPLETE, 2.0,
-                           "service", "cpu", dur=0.5)
-        assert event.end == pytest.approx(2.5)
+
+    def test_as_dict_keeps_only_the_phase_fields(self):
+        instant = TraceEvent("a", "cat", PH_INSTANT, 1.0, "p", "t").as_dict()
+        assert instant == {"name": "a", "cat": "cat", "ph": PH_INSTANT,
+                           "ts": 1.0, "pid": "p", "tid": "t"}
+        begin = TraceEvent("q", "cat", PH_ASYNC_BEGIN, 0.0, "p", "t", id=4)
+        assert begin.as_dict()["id"] == 4
+        assert "dur" not in begin.as_dict()
+        assert TraceEvent.from_dict(begin.as_dict()) == begin
+
+    def test_not_equal_to_other_types(self):
+        assert TraceEvent("a", "cat", PH_INSTANT, 0.0, "p", "t") != ("a", "cat")
 
 
 class TestTraceRecorder:
@@ -49,7 +57,6 @@ class TestTraceRecorder:
         for index in range(5):
             recorder.emit(TraceEvent(f"e{index}", "cat", PH_INSTANT,
                                      float(index), "p", "t"))
-        assert len(recorder) == 3
         assert recorder.dropped == 2
         assert [event.name for event in recorder.events] == ["e0", "e1", "e2"]
 
@@ -61,7 +68,7 @@ class TestFlightRecorder:
         flight.set_gauge("depth", 0.0, 2.0)
         assert flight.trace is None
         assert flight.events == []
-        assert flight.metrics.gauge("depth").value == 2.0
+        assert flight.metrics.series("depth") == [(0.0, 2.0)]
 
     def test_metrics_disabled_leaves_tracing_working(self):
         flight = FlightRecorder(ObservabilityConfig(metrics=False))
@@ -72,12 +79,35 @@ class TestFlightRecorder:
         assert flight.metrics is None
         assert [event.name for event in flight.events] == ["x"]
 
-    def test_events_named_filters(self):
+    def test_emitters_set_phase_duration_and_id(self):
         flight = FlightRecorder()
-        flight.instant("a", "cat", 0.0, "p", "t")
-        flight.instant("b", "cat", 1.0, "p", "t")
-        flight.instant("a", "cat", 2.0, "p", "t")
-        assert len(flight.events_named("a")) == 2
+        flight.instant("i", "cat", 0.0, "p", "t", chunk=1)
+        flight.complete("x", "cat", 1.0, 0.5, "p", "t")
+        flight.async_begin("q", "cat", 2.0, 7, "p", "t")
+        flight.async_end("q", "cat", 3.0, 7, "p", "t")
+        assert [event.ph for event in flight.events] == [
+            PH_INSTANT, PH_COMPLETE, PH_ASYNC_BEGIN, PH_ASYNC_END
+        ]
+        instant, span, begin, end = flight.events
+        assert instant.args == {"chunk": 1}
+        assert span.dur == 0.5
+        assert (begin.id, end.id) == (7, 7)
+
+    def test_metric_emitters_feed_the_registry(self):
+        flight = FlightRecorder()
+        flight.inc_counter("shed", 0.0)
+        flight.inc_counter("shed", 1.0, 2.0)
+        flight.observe("latency", 1.0, 0.25)
+        assert flight.metrics.series("shed") == [(0.0, 1.0), (1.0, 3.0)]
+        assert flight.metrics.series("latency") == [(1.0, 0.25)]
+        assert flight.summary_lines() == ["0 trace events", "2 metric series"]
+
+    def test_fully_disabled_recorder_is_silent(self):
+        flight = FlightRecorder(ObservabilityConfig(trace=False, metrics=False))
+        flight.complete("x", "cat", 0.0, 1.0, "p", "t")
+        flight.observe("latency", 0.0, 1.0)
+        assert flight.events == []
+        assert flight.summary_lines() == []
 
     def test_summary_lines_mention_drops(self):
         flight = FlightRecorder(ObservabilityConfig(max_trace_events=1))

@@ -321,7 +321,6 @@ class TestWorkloadClasses:
         ctrl.offer(make_request(1, range(4), query_class="interactive"), 0.1)
         ctrl.offer(make_request(2, range(4), query_class="interactive"), 0.2)
         ctrl.offer(make_request(3, range(4), query_class="batch"), 0.3)
-        assert ctrl.shed_by_class() == {"interactive": 1, "batch": 1}
         assert ctrl.shed_count == 2
         described = ctrl.describe()
         assert described["class_interactive_shed"] == 1

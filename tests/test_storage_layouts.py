@@ -33,25 +33,9 @@ class TestNSMLayout:
         assert layout.chunk_tuple_count(last) <= layout.tuples_per_chunk
         assert layout.chunk_size_bytes(last) <= layout.chunk_bytes
 
-    def test_chunk_of_tuple_roundtrip(self, nsm_layout):
-        for tuple_index in (0, 1, nsm_layout.tuples_per_chunk, nsm_layout.num_tuples - 1):
-            chunk = nsm_layout.chunk_of_tuple(tuple_index)
-            first, last = nsm_layout.chunk_tuple_range(chunk)
-            assert first <= tuple_index < last
-
-    def test_chunks_for_tuple_range(self, nsm_layout):
-        tpc = nsm_layout.tuples_per_chunk
-        assert nsm_layout.chunks_for_tuple_range(0, tpc) == [0]
-        assert nsm_layout.chunks_for_tuple_range(tpc - 1, tpc + 1) == [0, 1]
-        assert nsm_layout.chunks_for_tuple_range(5, 5) == []
-
     def test_chunk_out_of_range_raises(self, nsm_layout):
         with pytest.raises(StorageError):
             nsm_layout.chunk_tuple_range(nsm_layout.num_chunks)
-
-    def test_tuple_out_of_range_raises(self, nsm_layout):
-        with pytest.raises(StorageError):
-            nsm_layout.chunk_of_tuple(nsm_layout.num_tuples)
 
     def test_rejects_tuple_larger_than_chunk(self):
         fat = TableSchema.build("fat", [ColumnSpec("s", DataType.STR256)] * 1)
@@ -65,6 +49,36 @@ class TestNSMLayout:
     def test_describe(self, nsm_layout):
         info = nsm_layout.describe()
         assert info["num_chunks"] == nsm_layout.num_chunks
+
+    def test_from_buffer_config_takes_chunk_and_page_sizes(self, tiny_schema):
+        buffer = BufferConfig(chunk_bytes=2 * MB, page_bytes=128 * KB)
+        layout = NSMTableLayout.from_buffer_config(tiny_schema, 1000, buffer)
+        assert (layout.chunk_bytes, layout.page_bytes) == (2 * MB, 128 * KB)
+        assert layout.tuples_per_chunk == 2 * MB // 32
+
+    def test_partial_last_chunk_is_sized_by_its_tuples(self, tiny_schema):
+        layout = NSMTableLayout(
+            schema=tiny_schema, num_tuples=10, chunk_bytes=128, page_bytes=64
+        )
+        assert layout.tuples_per_chunk == 4
+        assert layout.num_chunks == 3
+        assert [layout.chunk_tuple_count(c) for c in layout.all_chunks()] == [4, 4, 2]
+        assert layout.chunk_size_bytes(2) == 64
+        assert layout.total_bytes == 128 + 128 + 64
+
+    def test_all_chunks_in_physical_order(self, nsm_layout):
+        assert list(nsm_layout.all_chunks()) == list(range(nsm_layout.num_chunks))
+
+    @pytest.mark.parametrize(
+        "num_tuples, chunk_bytes, page_bytes",
+        [(0, 128, 64), (10, 0, 64), (10, 128, 0), (10, 128, 48)],
+    )
+    def test_rejects_bad_geometry(self, tiny_schema, num_tuples, chunk_bytes, page_bytes):
+        with pytest.raises(StorageError):
+            NSMTableLayout(
+                schema=tiny_schema, num_tuples=num_tuples,
+                chunk_bytes=chunk_bytes, page_bytes=page_bytes,
+            )
 
 
 class TestDSMLayout:
@@ -110,7 +124,7 @@ class TestDSMLayout:
         assert shared > 0
 
     def test_chunk_pages_subset_smaller(self, dsm_layout):
-        full = dsm_layout.chunk_pages_all_columns(0)
+        full = dsm_layout.chunk_pages(0, dsm_layout.schema.column_names)
         subset = dsm_layout.chunk_pages(0, ["key", "flag"])
         assert subset < full
 
@@ -122,14 +136,11 @@ class TestDSMLayout:
         per_tuple = dsm_schema.tuple_physical_bytes
         assert layout.tuples_per_chunk == pytest.approx(1 * MB / per_tuple, rel=0.01)
 
-    def test_chunk_tuple_range_and_lookup(self, dsm_layout):
-        first, last = dsm_layout.chunk_tuple_range(3)
-        assert dsm_layout.chunk_of_tuple(first) == 3
-        assert dsm_layout.chunk_of_tuple(last - 1) == 3
-
-    def test_chunks_for_tuple_range_clamps(self, dsm_layout):
-        chunks = dsm_layout.chunks_for_tuple_range(-10, 10)
-        assert chunks == [0]
+    def test_chunk_tuple_range(self, dsm_layout):
+        tuples_per_chunk = dsm_layout.tuples_per_chunk
+        assert dsm_layout.chunk_tuple_range(3) == (
+            3 * tuples_per_chunk, 4 * tuples_per_chunk
+        )
 
     def test_average_pages_per_chunk(self, dsm_layout):
         avg = dsm_layout.average_pages_per_chunk("price")

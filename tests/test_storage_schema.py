@@ -92,25 +92,12 @@ class TestTableSchema:
         with pytest.raises(StorageError):
             tiny_schema.column("nope")
 
-    def test_column_index(self, tiny_schema):
-        assert tiny_schema.column_index("c") == 2
-
-    def test_has_column(self, tiny_schema):
-        assert tiny_schema.has_column("b")
-        assert not tiny_schema.has_column("zz")
-
     def test_tuple_widths(self, tiny_schema):
         assert tiny_schema.tuple_logical_bytes == 32.0
         assert tiny_schema.tuple_physical_bytes == 32.0
 
     def test_compressed_tuple_narrower(self, dsm_schema):
         assert dsm_schema.tuple_physical_bytes < dsm_schema.tuple_logical_bytes
-
-    def test_subset_preserves_order(self, tiny_schema):
-        assert [c.name for c in tiny_schema.subset(["c", "a"])] == ["c", "a"]
-
-    def test_physical_bytes_for_subset(self, dsm_schema):
-        assert dsm_schema.physical_bytes_for(["price"]) == pytest.approx(8.0)
 
     def test_rejects_duplicate_columns(self):
         with pytest.raises(StorageError):
@@ -125,3 +112,24 @@ class TestTableSchema:
     def test_describe(self, tiny_schema):
         described = tiny_schema.describe()
         assert described["columns"] == 4
+
+    def test_column_names_in_declaration_order(self, dsm_schema):
+        assert dsm_schema.column_names == ["key", "ref", "price", "flag", "date"]
+
+    def test_rejects_empty_table_name(self):
+        with pytest.raises(StorageError):
+            TableSchema.build("", [ColumnSpec("x", DataType.INT32)])
+
+    def test_describe_reports_both_tuple_widths(self, dsm_schema):
+        described = dsm_schema.describe()
+        assert described["tuple_logical_bytes"] == dsm_schema.tuple_logical_bytes
+        assert described["tuple_physical_bytes"] == dsm_schema.tuple_physical_bytes
+
+
+class TestFractionalWidths:
+    def test_physical_bytes_may_be_fractional(self):
+        assert ColumnSpec("a", DataType.OID, PFOR).physical_bytes == 21 / 8
+
+    def test_tuple_physical_bytes_sums_bits(self, dsm_schema):
+        bits = sum(spec.physical_bits for spec in dsm_schema.columns)
+        assert dsm_schema.tuple_physical_bytes == pytest.approx(bits / 8)

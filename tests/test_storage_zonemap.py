@@ -37,10 +37,6 @@ class TestZoneMap:
         zonemap = build_zonemap("x", np.arange(100), tuples_per_chunk=10)
         assert zonemap.chunks_for_range(50, 40) == []
 
-    def test_selectivity(self):
-        zonemap = build_zonemap("x", np.arange(100), tuples_per_chunk=10)
-        assert zonemap.selectivity(0, 9) == pytest.approx(0.1)
-
     def test_validation_min_greater_than_max(self):
         with pytest.raises(StorageError):
             ZoneMap("x", minima=(5.0,), maxima=(1.0,))
@@ -74,8 +70,8 @@ class TestZoneMap:
     def test_range_outside_domain_selects_nothing(self):
         zonemap = build_zonemap("x", np.arange(100), tuples_per_chunk=10)
         assert zonemap.chunks_for_range(100, 200) == []
-        assert zonemap.selectivity(-50, -1) == 0.0
-        assert zonemap.selectivity(0, 99) == pytest.approx(1.0)
+        assert zonemap.chunks_for_range(-50, -1) == []
+        assert zonemap.chunks_for_range(0, 99) == list(range(10))
 
     def test_build_rejects_multidimensional_values(self):
         with pytest.raises(StorageError):
@@ -84,3 +80,13 @@ class TestZoneMap:
     def test_validation_requires_a_chunk(self):
         with pytest.raises(StorageError):
             ZoneMap("x", minima=(), maxima=())
+
+    def test_chunk_larger_than_column_gives_one_entry(self):
+        zonemap = build_zonemap("x", np.array([7.0, -2.0, 3.0]), tuples_per_chunk=10)
+        assert zonemap.num_chunks == 1
+        assert (zonemap.minima, zonemap.maxima) == ((-2.0,), (7.0,))
+
+    def test_range_in_a_gap_between_chunks_selects_nothing(self):
+        zonemap = ZoneMap("x", minima=(0.0, 10.0), maxima=(4.0, 14.0))
+        assert zonemap.chunks_for_range(5.0, 9.0) == []
+        assert zonemap.chunks_for_range(4.5, 10.0) == [1]
