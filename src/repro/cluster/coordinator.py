@@ -47,6 +47,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import heapq
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -61,7 +63,7 @@ from repro.common.errors import SimulationError
 from repro.cluster.failures import FailureInjector, HedgeMonitor
 from repro.cluster.shardmap import ShardMap
 from repro.core.cscan import ScanRequest
-from repro.metrics.stats import LatencySummary, percentile
+from repro.metrics.stats import LatencySummary, _percentile_sorted
 from repro.metrics.timeline import validate_timeline
 from repro.net.resources import CoordinatorResources, CoordinatorSLO
 from repro.obs.alerts import (
@@ -283,9 +285,14 @@ class ClusterCoordinator:
         self._sub_ids_by_query: Dict[int, List[int]] = {}
         #: Chunk groups with no live replica, waiting for a repair.
         self._orphans: List[Tuple[int, int, Tuple[int, ...]]] = []
-        #: Completed sub-query latencies (hedge threshold sample).
+        #: Completed sub-query latencies, kept sorted (the hedge threshold
+        #: sample; a percentile reads it without re-sorting).
         self._sub_latencies: List[float] = []
         self._hedge_cache: Tuple[int, float] = (-1, 0.0)
+        #: Hedge candidates: ``(scatter_time, sub_id, shard)`` of the
+        #: original (non-hedge) copies, a heap with lazy deletion; see
+        #: :meth:`next_hedge_time`.  Only kept while hedging is on.
+        self._hedge_heap: List[Tuple[float, int, int]] = []
         #: Latest simulated time the coordinator has witnessed.
         self._clock = 0.0
         #: The shard simulators (failed or hedged-out sub-queries are
@@ -459,6 +466,8 @@ class ClusterCoordinator:
         )
         self._subs[sub.key] = sub
         self._groups.setdefault((query_id, primary), []).append(sub.key)
+        if hedge_of is None and self.hedge_config is not None:
+            heapq.heappush(self._hedge_heap, (now, sub_id, target))
         sub_ids = self._sub_ids_by_query.setdefault(query_id, [])
         if sub_id not in sub_ids:
             sub_ids.append(sub_id)
@@ -512,7 +521,7 @@ class ClusterCoordinator:
                 "has no such sub-query outstanding"
             )
         self._outstanding[shard] -= 1
-        self._sub_latencies.append(now - sub.scatter_time)
+        insort(self._sub_latencies, now - sub.scatter_time)
         query_id = sub.query_id
         losers = [
             other
@@ -688,6 +697,8 @@ class ClusterCoordinator:
                     from_shard=shard,
                     to_shard=target,
                 )
+        # A killed hedge copy leaves its original the sole copy again.
+        self._rebuild_hedge_heap()
 
     def degrade_shard(
         self, shard: int, now: float, factor: Optional[float] = None
@@ -750,6 +761,8 @@ class ClusterCoordinator:
                         primary=primary,
                         to_shard=target,
                     )
+        # The repaired shard is a live alternative replica again.
+        self._rebuild_hedge_heap()
 
     # --------------------------------------------------------------- hedging
     def _hedge_threshold(self) -> Optional[float]:
@@ -764,20 +777,40 @@ class ClusterCoordinator:
         size = len(self._sub_latencies)
         cached_size, cached = self._hedge_cache
         if cached_size != size:
-            cached = hedge.multiplier * percentile(
+            cached = hedge.multiplier * _percentile_sorted(
                 self._sub_latencies, hedge.quantile * 100.0
             )
             self._hedge_cache = (size, cached)
         return cached
 
     def _hedge_eligible(self, sub: _SubQuery) -> bool:
-        """Original, sole copy of its group, with a live alternative."""
+        """Original, sole copy of its group, with another live replica."""
         if sub.hedge_of is not None:
             return False
-        group = self._groups.get((sub.query_id, sub.primary))
-        if group is None or len(group) != 1:
+        if len(self._groups[(sub.query_id, sub.primary)]) != 1:
             return False
-        return self._pick_replica(sub.primary, exclude=(sub.shard,)) is not None
+        live = self._live
+        for shard in self.shard_map.replica_shards(sub.primary):
+            if shard != sub.shard and live[shard]:
+                return True
+        return False
+
+    def _rebuild_hedge_heap(self) -> None:
+        """Re-admit every outstanding original copy as a hedge candidate.
+
+        :meth:`next_hedge_time` drops ineligible candidates for good, so
+        the two events that can make one eligible again — a kill (a
+        killed hedge copy shrinks its group back to one) and a repair (an
+        alternative replica comes back) — rebuild the heap from scratch.
+        """
+        if self.hedge_config is None:
+            return
+        self._hedge_heap = [
+            (sub.scatter_time, sub.sub_id, sub.shard)
+            for sub in self._subs.values()
+            if sub.hedge_of is None
+        ]
+        heapq.heapify(self._hedge_heap)
 
     def next_hedge_time(self) -> Optional[float]:
         """When the oldest eligible sub-query crosses the threshold.
@@ -786,29 +819,40 @@ class ClusterCoordinator:
         when nothing is eligible; never before the coordinator's clock (a
         sub-query already past the threshold hedges *now*, not in the
         past).
+
+        The threshold is the same for every sub-query, so the answer is
+        the earliest ``scatter_time`` among eligible copies.  It comes
+        from :attr:`_hedge_heap`, ordered by ``(scatter_time, sub_id)``
+        rather than dispatch order (a re-scatter dispatches at
+        ``max(now, ready)``, and a priced coordinator's ``ready`` can lie
+        ahead of later dispatches).  Entries at the top whose copy is gone
+        (completed, cancelled or killed) or not eligible are popped; only
+        a kill or a repair can make a copy eligible again, and both
+        rebuild the heap.  ``tests/reference_hedging.py`` keeps the walk
+        over every outstanding copy as the oracle.
         """
         if self.hedge_config is None:
             return None
         threshold = self._hedge_threshold()
         if threshold is None:
             return None
-        best: Optional[float] = None
-        for sub in self._subs.values():
-            if not self._hedge_eligible(sub):
-                continue
-            due = sub.scatter_time + threshold
-            if best is None or due < best:
-                best = due
-        if best is None:
-            return None
-        return max(best, self._clock)
+        heap = self._hedge_heap
+        subs = self._subs
+        while heap:
+            scatter_time, sub_id, shard = heap[0]
+            sub = subs.get((shard, sub_id))
+            if sub is not None and self._hedge_eligible(sub):
+                return max(scatter_time + threshold, self._clock)
+            heapq.heappop(heap)
+        return None
 
     def fire_hedges(self, now: float) -> None:
         """Scatter a duplicate for every sub-query past the threshold.
 
         Each duplicate races the original on a *different* live replica;
         the first completion wins and :meth:`_cancel_sub` unwinds the
-        loser.
+        loser.  Duplicates go out in dispatch order, which fixes their
+        sub-ids and routing.
         """
         threshold = self._hedge_threshold()
         if threshold is None:
@@ -817,8 +861,8 @@ class ClusterCoordinator:
         due = [
             sub
             for sub in self._subs.values()
-            if self._hedge_eligible(sub)
-            and sub.scatter_time + threshold <= now + _EPS
+            if sub.scatter_time + threshold <= now + _EPS
+            and self._hedge_eligible(sub)
         ]
         for sub in due:
             target = self._dispatch_group(
@@ -993,18 +1037,15 @@ class ShardSource(QuerySource):
 
     # ------------------------------------------------------------- interface
     def next_event_time(self) -> Optional[float]:
-        candidates: List[float] = []
         pending = self.coordinator.pending_head_time(self.shard)
-        if pending is not None:
-            candidates.append(pending)
         # Every shard wakes for external arrivals: whichever shard steps
         # first pumps the front queue, the others pick up their pieces.
         arrival = self.coordinator.next_arrival_time()
-        if arrival is not None:
-            candidates.append(arrival)
-        if not candidates:
-            return None
-        return min(candidates)
+        if pending is None:
+            return arrival
+        if arrival is None or pending <= arrival:
+            return pending
+        return arrival
 
     def poll(self, now: float) -> List[AdmittedQuery]:
         self.coordinator.pump(now)

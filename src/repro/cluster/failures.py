@@ -60,7 +60,14 @@ class FailureInjector:
 
 
 class HedgeMonitor:
-    """Frontier-event adapter for the coordinator's hedging deadline."""
+    """Frontier-event adapter for the coordinator's hedging deadline.
+
+    The lockstep driver asks for :meth:`next_event_time` on every round,
+    so the coordinator answers it from an index it keeps up to date (a
+    heap of original sub-queries by scatter time, see
+    :meth:`ClusterCoordinator.next_hedge_time`) instead of walking every
+    outstanding sub-query.
+    """
 
     def __init__(self, coordinator) -> None:
         self.coordinator = coordinator

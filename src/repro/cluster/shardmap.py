@@ -73,6 +73,10 @@ class ShardMap:
     _local: Tuple[Dict[int, int], ...] = field(
         init=False, repr=False, compare=False
     )
+    #: Per-primary tuple of the shards storing its range, in ring order.
+    _replica_shards: Tuple[Tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # A disk may have more volumes than chunks, but a shard must own at
@@ -128,6 +132,17 @@ class ShardMap:
             local.append({chunk: rank for rank, chunk in enumerate(chunks)})
         object.__setattr__(self, "_stored", tuple(stored))
         object.__setattr__(self, "_local", tuple(local))
+        object.__setattr__(
+            self,
+            "_replica_shards",
+            tuple(
+                tuple(
+                    (primary + replica) % self.num_shards
+                    for replica in range(self.replicas)
+                )
+                for primary in range(self.num_shards)
+            ),
+        )
 
     @classmethod
     def from_cluster_config(
@@ -150,12 +165,11 @@ class ShardMap:
         """Every shard storing the given primary shard's chunk range.
 
         The first entry is the primary itself; the rest follow the chained
-        declustering ring order.
+        declustering ring order.  The tuples are built once, at
+        construction: routing and hedge eligibility read them on every
+        dispatch and every lockstep round.
         """
-        return tuple(
-            (primary + replica) % self.num_shards
-            for replica in range(self.replicas)
-        )
+        return self._replica_shards[primary]
 
     def local_chunk_on(self, shard: int, chunk: int) -> int:
         """Local id of a global chunk on any shard that stores it."""

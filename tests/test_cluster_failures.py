@@ -200,6 +200,16 @@ class TestShardMapReplication:
         assert shard_map.replica_shards(0) == (0, 1)
         assert shard_map.replica_shards(3) == (3, 0)
         assert shard_map.replica_shards(shard_map.shard_of(6)) == (3, 0)
+        # Every replication factor: the ring order, from a tuple built
+        # once at construction (the same object on every call).
+        for replicas in range(1, 5):
+            shard_map = ShardMap(num_chunks=8, num_shards=4, replicas=replicas)
+            for primary in range(4):
+                ring = shard_map.replica_shards(primary)
+                assert ring == tuple(
+                    (primary + offset) % 4 for offset in range(replicas)
+                )
+                assert shard_map.replica_shards(primary) is ring
 
     def test_local_ids_are_ranks_in_the_stored_set(self):
         shard_map = ShardMap(num_chunks=8, num_shards=4, replicas=2)

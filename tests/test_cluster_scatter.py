@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterCoordinator, ShardMap, run_cluster_service
-from repro.cluster.coordinator import ClusterQueryRecord
+from repro.cluster.coordinator import ClusterQueryRecord, ShardSource
 from repro.common.config import ClusterConfig, ServiceConfig
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.service.admission import AdmissionController
@@ -250,6 +250,30 @@ class TestGatherOrdering:
         assert coordinator.pending_head_time(0) == 0.5
         assert coordinator.earliest_in_flight() == 0.5
         assert len(coordinator.take_pending(0, 0.5)) == 1
+
+
+class TestShardSourceProbe:
+    def test_next_event_time_is_the_earlier_of_pending_and_arrival(self):
+        first = make_request(0, [0, 1])   # shard 0 only
+        second = make_request(1, [4, 5])  # shard 1 only
+        coordinator, _ = _coordinator(
+            [(0.0, first), (2.0, second)], max_concurrent=2
+        )
+        shard0 = ShardSource(coordinator, 0)
+        shard1 = ShardSource(coordinator, 1)
+        # Nothing buffered yet: every shard wakes for the next arrival.
+        assert shard0.next_event_time() == 0.0
+        assert shard1.next_event_time() == 0.0
+        coordinator.pump(0.0)
+        # Shard 0's buffered sub-query is due before the next arrival.
+        assert shard0.next_event_time() == 0.0
+        assert shard1.next_event_time() == 2.0
+        coordinator.take_pending(0, 0.0)
+        assert shard0.next_event_time() == 2.0
+        # Arrivals exhausted: only a buffered sub-query wakes a shard.
+        coordinator.pump(2.0)
+        assert shard0.next_event_time() is None
+        assert shard1.next_event_time() == 2.0
 
 
 class TestClusterQueryRecordProperties:
