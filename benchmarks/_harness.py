@@ -9,6 +9,9 @@ supported, selected with the ``REPRO_BENCH_SCALE`` environment variable:
 * ``paper`` — the paper's settings (TPC-H SF-10 NSM, SF-40 DSM, 16 streams of
   4 queries, 1 GB / 1.5 GB buffers).
 
+Any other value raises at import, so a misspelt scale cannot run (and
+stamp itself on) the small one.
+
 Each benchmark runs its experiment exactly once inside ``benchmark.pedantic``
 (the experiment itself is the thing being timed) and prints the resulting
 paper-style table to stdout, which pytest shows with ``-s`` and which the
@@ -17,13 +20,10 @@ EXPERIMENTS.md numbers were taken from.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
+import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
-
-import numpy
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from repro.common.config import PAPER_DSM_SYSTEM, PAPER_NSM_SYSTEM, SystemConfig
 from repro.metrics import PolicyComparison, compare_runs
@@ -44,8 +44,15 @@ from repro.workload import (
     standard_templates,
 )
 
-#: Scale selected through the environment ("small" or "paper").
+#: The scales ``REPRO_BENCH_SCALE`` accepts.
+SCALES = ("small", "paper")
+
+#: Scale selected through the environment.
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small").lower()
+if SCALE not in SCALES:
+    raise ValueError(
+        f"REPRO_BENCH_SCALE={SCALE!r}: expected one of {', '.join(SCALES)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,12 @@ _DSM_SCALES = {
 
 def nsm_scale() -> NSMScale:
     """The NSM experiment parameters for the selected scale."""
-    return _NSM_SCALES.get(SCALE, _NSM_SCALES["small"])
+    return _NSM_SCALES[SCALE]
 
 
 def dsm_scale() -> DSMScale:
     """The DSM experiment parameters for the selected scale."""
-    return _DSM_SCALES.get(SCALE, _DSM_SCALES["small"])
+    return _DSM_SCALES[SCALE]
 
 
 def nsm_setup(buffer_chunks: Optional[int] = None):
@@ -167,80 +174,14 @@ def run_dsm_comparison(
     return compare_runs(runs, baseline)
 
 
-#: Schema identifier and version of the ``BENCH_core.json`` summary file.
-BENCH_CORE_SCHEMA = "repro-bench-core"
-BENCH_CORE_VERSION = 1
-
-#: The repo-root summary every core benchmark merges its headline rows into.
-BENCH_CORE_PATH = os.environ.get(
-    "REPRO_BENCH_CORE_JSON",
-    os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "BENCH_core.json",
-    ),
-)
-
-
-def environment_provenance() -> Dict[str, object]:
-    """The execution environment a benchmark number is only valid within.
-
-    Wall-clock rows are meaningless without knowing what produced them, so
-    every ``BENCH_core.json`` write stamps the interpreter version, the
-    numpy version backing the vector interest tracker, and the machine's
-    CPU count (wall-clock rows from hosts with different core counts are
-    not comparable).
-    """
+def spread(values: Iterable[float]) -> Dict[str, float]:
+    """The median, min and max of repeated wall-clock samples."""
+    values = list(values)
     return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "cpu_count": os.cpu_count(),
+        "median": round(statistics.median(values), 4),
+        "min": round(min(values), 4),
+        "max": round(max(values), 4),
     }
-
-
-def update_bench_core(
-    section: str,
-    rows: Sequence[Dict[str, object]],
-    workload: Optional[Dict[str, object]] = None,
-) -> str:
-    """Merge one benchmark's headline rows into ``BENCH_core.json``.
-
-    The file lives at the repo root and is schema-versioned so downstream
-    tooling can rely on its shape: a top-level ``schema``/``version`` pair
-    and one ``sections[name]`` entry per benchmark, each holding the
-    workload parameters and a flat list of rows (``queries`` x ``chunks``
-    x ``shards`` -> wall-clock seconds and per-decision scheduling cost).
-    Sections written by other benchmarks are preserved; a file with a
-    different schema or version is replaced wholesale.
-    """
-    payload: Dict[str, object] = {
-        "schema": BENCH_CORE_SCHEMA,
-        "version": BENCH_CORE_VERSION,
-        "environment": environment_provenance(),
-        "sections": {},
-    }
-    if os.path.exists(BENCH_CORE_PATH):
-        try:
-            with open(BENCH_CORE_PATH) as handle:
-                existing = json.load(handle)
-        except (OSError, ValueError):
-            existing = None
-        if (
-            isinstance(existing, dict)
-            and existing.get("schema") == BENCH_CORE_SCHEMA
-            and existing.get("version") == BENCH_CORE_VERSION
-            and isinstance(existing.get("sections"), dict)
-        ):
-            payload["sections"] = existing["sections"]
-    sections: Dict[str, object] = payload["sections"]  # type: ignore[assignment]
-    sections[section] = {
-        "scale": SCALE,
-        "workload": dict(workload or {}),
-        "rows": [dict(row) for row in rows],
-    }
-    with open(BENCH_CORE_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return BENCH_CORE_PATH
 
 
 def run_once(benchmark, func: Callable):

@@ -22,17 +22,15 @@ for both storage layouts (NSM and DSM):
 Every λ point replays the same seeded arrival sequence, so the whole
 experiment is deterministic and the assertions are stable.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/adaptive_mpl_results.json`` for CI
-artifacts)::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_adaptive_mpl
+    PYTHONPATH=src python -m benchmarks.core adaptive_mpl
 """
 
 from __future__ import annotations
 
-import json
-import os
+import time
 
 from benchmarks._harness import dsm_setup, nsm_setup, print_banner, run_once
 from repro.common.config import (
@@ -79,12 +77,6 @@ INTERACTIVE_WEIGHT = 4.0
 INTERACTIVE_BOOST = 64.0
 #: Interactive p95 SLO: this multiple of its batch-free baseline p95.
 INTERACTIVE_SLO_FACTOR = 2.0
-
-#: Where the standalone run writes its machine-readable results.
-JSON_PATH = os.environ.get(
-    "REPRO_ADAPTIVE_MPL_JSON",
-    os.path.join("benchmarks", "out", "adaptive_mpl_results.json"),
-)
 
 
 def _cases():
@@ -281,6 +273,7 @@ def _class_isolation(name, config, layout, abm_factory, templates):
 def _experiment():
     results = {}
     for name, config, layout, abm_factory, templates in _cases():
+        started = time.perf_counter()
         results[name] = {
             "adaptive_vs_static": _adaptive_vs_static(
                 name, config, layout, abm_factory, templates
@@ -289,6 +282,7 @@ def _experiment():
                 name, config, layout, abm_factory, templates
             ),
         }
+        results[name]["wall_clock_s"] = time.perf_counter() - started
     return results
 
 
@@ -381,86 +375,45 @@ def _report(results):
         print()
 
 
-def _write_json(results) -> None:
-    def curve_dict(curve):
-        return {
-            str(l): {
-                **result.slo.as_dict(),
-                "steady_p95": steady_p95(result),
-                "final_mpl": result.final_mpl,
-                "mpl_adjustments": len(result.mpl_timeline) - 1,
-            }
-            for l, result in curve.items()
-        }
-
-    payload = {
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    results = _experiment()
+    _report(results)
+    rows = []
+    for name, outcome in results.items():
+        part1 = outcome["adaptive_vs_static"]
+        part2 = outcome["class_isolation"]
+        rows.append({
+            "layout": name,
+            "slo_p95_s": round(part1["threshold"], 4),
+            "static_sustained_qps": {
+                str(mpl): value
+                for mpl, value in part1["static_sustained"].items()
+            },
+            "adaptive_sustained_qps": part1["adaptive_sustained"],
+            "adaptive_final_mpl": {
+                str(load): result.final_mpl
+                for load, result in part1["adaptive_curve"].items()
+            },
+            "interactive_slo_s": round(part2["interactive_slo"], 4),
+            "interactive_p95_s": {
+                label: round(result.slo.class_report("interactive").latency.p95, 4)
+                for label, result in part2["runs"].items()
+            },
+            "wall_clock_s": round(outcome["wall_clock_s"], 4),
+        })
+    return {
         "workload": {
             "num_queries": NUM_QUERIES,
             "offered_loads": list(OFFERED_LOADS),
             "static_mpls": list(STATIC_MPLS),
             "adaptive_start_mpl": ADAPTIVE_START_MPL,
-            "slo_factor": SLO_FACTOR,
-            "target_fraction": TARGET_FRACTION,
             "interactive_rate": INTERACTIVE_RATE,
             "batch_base_rate": BATCH_BASE_RATE,
-            "interactive_weight": INTERACTIVE_WEIGHT,
-            "interactive_boost": INTERACTIVE_BOOST,
-            "arrival_seed": ARRIVAL_SEED,
         },
-        "results": {
-            name: {
-                "threshold": outcome["adaptive_vs_static"]["threshold"],
-                "static_sustained": {
-                    str(mpl): value
-                    for mpl, value in outcome["adaptive_vs_static"][
-                        "static_sustained"
-                    ].items()
-                },
-                "adaptive_sustained": outcome["adaptive_vs_static"][
-                    "adaptive_sustained"
-                ],
-                "static_curves": {
-                    str(mpl): curve_dict(curve)
-                    for mpl, curve in outcome["adaptive_vs_static"][
-                        "static_curves"
-                    ].items()
-                },
-                "adaptive_curve": curve_dict(
-                    outcome["adaptive_vs_static"]["adaptive_curve"]
-                ),
-                "class_isolation": {
-                    "interactive_slo": outcome["class_isolation"][
-                        "interactive_slo"
-                    ],
-                    "baseline_p95": outcome["class_isolation"]["baseline_p95"],
-                    "runs": {
-                        label: {
-                            **result.slo.as_dict(),
-                            "final_mpl": result.final_mpl,
-                        }
-                        for label, result in outcome["class_isolation"][
-                            "runs"
-                        ].items()
-                    },
-                },
-            }
-            for name, outcome in results.items()
-        },
+        "rows": rows,
     }
-    directory = os.path.dirname(JSON_PATH)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(JSON_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"wrote {JSON_PATH}")
 
 
 def bench_adaptive_mpl(benchmark):
-    results = run_once(benchmark, _experiment)
-    _report(results)
-
-
-if __name__ == "__main__":
-    results = _experiment()
-    _report(results)
-    _write_json(results)
+    run_once(benchmark, section)

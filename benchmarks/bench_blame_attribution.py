@@ -13,22 +13,19 @@ the two contracts that make "always on" acceptable and useful:
   of its p95-tail blame on the disk phases, while a coordinator-saturated
   cluster pins its top tail blame on the coordinator CPU phases.
 
-Standalone runs also merge a schema-versioned ``postmortem`` section into
-``BENCH_core.json`` and write
-``benchmarks/out/blame_attribution_results.json`` for the CI artifact::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_blame_attribution
+    PYTHONPATH=src python -m benchmarks.core blame_attribution
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import statistics
 import time
 
-from benchmarks._harness import print_banner, run_once, update_bench_core
+from benchmarks._harness import print_banner, run_once, spread
 from repro.cluster import ShardMap
 from repro.cluster.coordinator import run_cluster_service
 from repro.common.config import (
@@ -67,10 +64,6 @@ PIN_SHARE = 0.5
 
 DISK_PHASES = ("disk_seek", "disk_transfer")
 COORDINATOR_PHASES = ("coordinator_cpu", "gather_cpu")
-
-OUT_DIR = os.environ.get(
-    "REPRO_OBS_OUT_DIR", os.path.join("benchmarks", "out")
-)
 
 
 def _schema() -> TableSchema:
@@ -173,11 +166,13 @@ def _measure_overhead():
         f"(budget {OVERHEAD_BUDGET}x): {on_s:.4f}s vs {off_s:.4f}s"
     )
     return {
-        "baseline_wall_clock_s": off_s,
-        "stamped_wall_clock_s": on_s,
-        "overhead_ratio": ratio,
-        "budget": OVERHEAD_BUDGET,
+        "workload": "overhead",
         "queries": len(on_run.queries),
+        "samples": SAMPLES,
+        "baseline_s": spread(off_times),
+        "stamped_s": spread(on_times),
+        "overhead_ratio": round(ratio, 4),
+        "budget": OVERHEAD_BUDGET,
     }
 
 
@@ -307,8 +302,8 @@ def _report(stats) -> None:
     overhead = stats["overhead"]
     print(
         f"median of {SAMPLES} pairs: breakdowns off "
-        f"{overhead['baseline_wall_clock_s']:.4f}s, "
-        f"on {overhead['stamped_wall_clock_s']:.4f}s "
+        f"{overhead['baseline_s']['median']:.4f}s, "
+        f"on {overhead['stamped_s']['median']:.4f}s "
         f"({overhead['overhead_ratio']:.3f}x, budget {overhead['budget']}x, "
         f"{overhead['queries']} queries)"
     )
@@ -328,42 +323,20 @@ def _report(stats) -> None:
                              title="Coordinator-saturated blame"))
 
 
-def _write_artifacts(stats) -> None:
-    os.makedirs(OUT_DIR, exist_ok=True)
-    rows = [
-        {**stats["overhead"], "workload": "overhead"},
-        stats["disk"],
-        stats["coordinator"],
-    ]
-    core_path = update_bench_core(
-        "postmortem",
-        rows,
-        workload={
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    stats = _experiment()
+    _report(stats)
+    return {
+        "workload": {
             "num_chunks": NUM_CHUNKS,
             "samples": SAMPLES,
             "overhead_budget": OVERHEAD_BUDGET,
             "pin_share": PIN_SHARE,
         },
-    )
-    results_path = os.path.join(OUT_DIR, "blame_attribution_results.json")
-    payload = {
-        "overhead": stats["overhead"],
-        "disk": stats["disk"],
-        "coordinator": stats["coordinator"],
+        "rows": [stats["overhead"], stats["disk"], stats["coordinator"]],
     }
-    with open(results_path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nwrote {results_path} and merged section 'postmortem' "
-          f"into {core_path}")
 
 
 def bench_blame_attribution(benchmark):
-    stats = run_once(benchmark, _experiment)
-    _report(stats)
-
-
-if __name__ == "__main__":
-    stats = _experiment()
-    _report(stats)
-    _write_artifacts(stats)
+    run_once(benchmark, section)

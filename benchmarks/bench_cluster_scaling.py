@@ -28,21 +28,18 @@ shards that stepped or were touched, so **probes per step stay at or below
 1.5 at every shard count** (asserted) — per-round driver cost follows the
 shards that have work, not the fleet size.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/cluster_scaling_results.json`` for CI
-artifacts)::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_cluster_scaling
+    PYTHONPATH=src python -m benchmarks.core cluster_scaling
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from contextlib import contextmanager
 
-from benchmarks._harness import print_banner, run_once, update_bench_core
+from benchmarks._harness import print_banner, run_once
 from repro.cluster import ShardMap, compare_cluster_policies, run_cluster_service
 from repro.common.config import (
     BufferConfig,
@@ -91,12 +88,6 @@ DRIVER_CHUNKS = 512
 DRIVER_QUERIES = 200
 DRIVER_LOAD = 20.0
 MAX_PROBES_PER_STEP = 1.5
-
-#: Where the standalone run writes its machine-readable results.
-JSON_PATH = os.environ.get(
-    "REPRO_CLUSTER_JSON",
-    os.path.join("benchmarks", "out", "cluster_scaling_results.json"),
-)
 
 
 def _config() -> SystemConfig:
@@ -432,82 +423,39 @@ def _report(results):
         )
 
 
-def _write_json(results, driver_rows) -> None:
-    payload = {
-        "workload": {
-            "num_chunks": NUM_CHUNKS,
-            "num_queries": NUM_QUERIES,
-            "mpl_per_shard": MPL_PER_SHARD,
-            "shard_buffer_chunks": SHARD_BUFFER_CHUNKS,
-            "policies": list(POLICIES),
-            "shard_counts": list(SHARD_COUNTS),
-            "offered_loads": list(OFFERED_LOADS),
-            "slo_factor": SLO_FACTOR,
-            "arrival_seed": ARRIVAL_SEED,
-        },
-        "results": {
-            layout_name: {
-                str(shards): {
-                    str(offered_load): {
-                        policy: report.as_dict()
-                        for policy, report in reports.items()
-                    }
-                    for offered_load, reports in per_load.items()
-                }
-                for shards, per_load in surface.items()
-            }
-            for layout_name, surface in results.items()
-        },
-        "driver_cost": {
-            "workload": {
-                "policy": "relevance",
-                "num_chunks": DRIVER_CHUNKS,
-                "num_queries": DRIVER_QUERIES,
-                "offered_load": DRIVER_LOAD,
-                "max_probes_per_step": MAX_PROBES_PER_STEP,
-            },
-            "rows": driver_rows,
-        },
-    }
-    directory = os.path.dirname(JSON_PATH)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(JSON_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {JSON_PATH}")
-
-
-def _write_bench_core(core) -> None:
-    rows = [
-        {"layout": layout_name, **stats}
-        for layout_name, per_layout in core.items()
-        for _, stats in sorted(per_layout.items())
-    ]
-    path = update_bench_core(
-        "cluster_scaling",
-        rows,
-        workload={
-            "num_chunks": NUM_CHUNKS,
-            "num_queries": NUM_QUERIES,
-            "mpl_per_shard": MPL_PER_SHARD,
-            "shard_counts": list(SHARD_COUNTS),
-            "offered_loads": list(OFFERED_LOADS),
-        },
-    )
-    print(f"merged core rows into {path}")
-
-
-def bench_cluster_scaling(benchmark):
-    results, core = run_once(benchmark, _experiment)
-    _report(results)
-    _report_driver(_driver_cost())
-    _write_bench_core(core)
-
-
-if __name__ == "__main__":
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
     results, core = _experiment()
     _report(results)
     driver_rows = _driver_cost()
     _report_driver(driver_rows)
-    _write_json(results, driver_rows)
-    _write_bench_core(core)
+    rows = []
+    for layout_name, surface in results.items():
+        threshold = _slo_threshold(surface)
+        for shards, stats in sorted(core[layout_name].items()):
+            rows.append({
+                "layout": layout_name,
+                **stats,
+                "sustained_qps": {
+                    policy: _sustained(surface[shards], policy, threshold)
+                    for policy in POLICIES
+                },
+            })
+    rows += [{"layout": "NSM", "point": "lockstep", **row} for row in driver_rows]
+    return {
+        "workload": {
+            "num_chunks": NUM_CHUNKS,
+            "num_queries": NUM_QUERIES,
+            "mpl_per_shard": MPL_PER_SHARD,
+            "shard_counts": list(SHARD_COUNTS),
+            "offered_loads": list(OFFERED_LOADS),
+            "driver_chunks": DRIVER_CHUNKS,
+            "driver_queries": DRIVER_QUERIES,
+            "driver_load": DRIVER_LOAD,
+        },
+        "rows": rows,
+    }
+
+
+def bench_cluster_scaling(benchmark):
+    run_once(benchmark, section)

@@ -24,20 +24,17 @@ deterministically:
   report shows coordinator CPU/NIC utilisation >= 0.9 with explicit
   bottleneck warnings.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/coordinator_saturation_results.json``
-for CI artifacts)::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_coordinator_saturation
+    PYTHONPATH=src python -m benchmarks.core coordinator_saturation
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
-from benchmarks._harness import print_banner, run_once, update_bench_core
+from benchmarks._harness import print_banner, run_once
 from repro.cluster import ShardMap, run_cluster_service
 from repro.common.config import (
     BufferConfig,
@@ -93,12 +90,6 @@ FINITE_NETWORK = NetworkConfig(
 
 #: Coordinator models compared at every shard count.
 MODES = ("infinite", "finite")
-
-#: Where the standalone run writes its machine-readable results.
-JSON_PATH = os.environ.get(
-    "REPRO_COORDINATOR_JSON",
-    os.path.join("benchmarks", "out", "coordinator_saturation_results.json"),
-)
 
 
 def _config() -> SystemConfig:
@@ -308,45 +299,10 @@ def _report(surface):
     return sustained, threshold
 
 
-def _write_json(surface, sustained, threshold) -> None:
-    payload = {
-        "workload": {
-            "num_chunks": NUM_CHUNKS,
-            "num_queries": NUM_QUERIES,
-            "mpl_per_shard": MPL_PER_SHARD,
-            "policy": POLICY,
-            "shard_counts": list(SHARD_COUNTS),
-            "offered_loads": list(OFFERED_LOADS),
-            "slo_factor": SLO_FACTOR,
-            "arrival_seed": ARRIVAL_SEED,
-            "p95_threshold_s": threshold,
-            "coordinator": FINITE_COORDINATOR.describe(),
-            "network": FINITE_NETWORK.describe(),
-        },
-        "sustained_qps": {
-            mode: {str(shards): value for shards, value in per_mode.items()}
-            for mode, per_mode in sustained.items()
-        },
-        "results": {
-            mode: {
-                str(shards): {
-                    str(offered_load): result.slo.as_dict()
-                    for offered_load, result in per_load.items()
-                }
-                for shards, per_load in per_mode.items()
-            }
-            for mode, per_mode in surface.items()
-        },
-    }
-    directory = os.path.dirname(JSON_PATH)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(JSON_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {JSON_PATH}")
-
-
-def _write_bench_core(surface, core, sustained, threshold) -> None:
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    surface, core = _experiment()
+    sustained, threshold = _report(surface)
     rows = []
     for mode in MODES:
         for shards in SHARD_COUNTS:
@@ -365,10 +321,8 @@ def _write_bench_core(surface, core, sustained, threshold) -> None:
                     round(blame.nic_utilisation, 4) if blame else 0.0
                 ),
             })
-    path = update_bench_core(
-        "coordinator",
-        rows,
-        workload={
+    return {
+        "workload": {
             "num_chunks": NUM_CHUNKS,
             "num_queries": NUM_QUERIES,
             "mpl_per_shard": MPL_PER_SHARD,
@@ -377,18 +331,9 @@ def _write_bench_core(surface, core, sustained, threshold) -> None:
             "offered_loads": list(OFFERED_LOADS),
             "p95_threshold_s": round(threshold, 4),
         },
-    )
-    print(f"merged core rows into {path}")
+        "rows": rows,
+    }
 
 
 def bench_coordinator_saturation(benchmark):
-    surface, core = run_once(benchmark, _experiment)
-    sustained, threshold = _report(surface)
-    _write_bench_core(surface, core, sustained, threshold)
-
-
-if __name__ == "__main__":
-    surface, core = _experiment()
-    sustained, threshold = _report(surface)
-    _write_json(surface, sustained, threshold)
-    _write_bench_core(surface, core, sustained, threshold)
+    run_once(benchmark, section)

@@ -27,20 +27,17 @@ the healthy p99 while killed R=1 violates it; killed R=2 keeps at least
 ``GRACEFUL_FACTOR`` of the healthy throughput; and hedging fires and
 strictly lowers the straggler p99.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/failure_resilience_results.json`` for
-CI artifacts and merges a ``resilience`` section into ``BENCH_core.json``)::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_failure_resilience
+    PYTHONPATH=src python -m benchmarks.core failure_resilience
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
-from benchmarks._harness import print_banner, run_once, update_bench_core
+from benchmarks._harness import print_banner, run_once
 from repro.cluster import ShardMap, run_cluster_service
 from repro.common.config import (
     BufferConfig,
@@ -90,12 +87,6 @@ HEDGE = HedgeConfig(quantile=0.9, multiplier=1.0, min_samples=4)
 BOUND_FACTOR = 3.0
 #: killed R=2 must keep at least this fraction of the healthy throughput.
 GRACEFUL_FACTOR = 0.7
-
-#: Where the standalone run writes its machine-readable results.
-JSON_PATH = os.environ.get(
-    "REPRO_RESILIENCE_JSON",
-    os.path.join("benchmarks", "out", "failure_resilience_results.json"),
-)
 
 
 def _config() -> SystemConfig:
@@ -262,59 +253,22 @@ def _report(results):
     )
 
 
-def _write_json(results) -> None:
-    payload = {
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    results, core = _experiment()
+    _report(results)
+    return {
         "workload": {
             "policy": POLICY,
             "shards": SHARDS,
             "num_chunks": NUM_CHUNKS,
             "num_queries": NUM_QUERIES,
-            "mpl_per_shard": MPL_PER_SHARD,
-            "rate_qps": RATE_QPS,
-            "arrival_seed": ARRIVAL_SEED,
             "kill_time_s": KILL_TIME,
             "repair_time_s": REPAIR_TIME,
-            "degrade_factor": STRAGGLER_SCHEDULE.degrade_factor,
-            "hedge_quantile": HEDGE.quantile,
-            "bound_factor": BOUND_FACTOR,
-            "graceful_factor": GRACEFUL_FACTOR,
         },
-        "results": {
-            label: result.slo.as_dict() for label, result in results.items()
-        },
+        "rows": list(core.values()),
     }
-    directory = os.path.dirname(JSON_PATH)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(JSON_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {JSON_PATH}")
-
-
-def _write_bench_core(core) -> None:
-    path = update_bench_core(
-        "resilience",
-        list(core.values()),
-        workload={
-            "policy": POLICY,
-            "shards": SHARDS,
-            "num_chunks": NUM_CHUNKS,
-            "num_queries": NUM_QUERIES,
-            "kill_time_s": KILL_TIME,
-            "repair_time_s": REPAIR_TIME,
-        },
-    )
-    print(f"merged core rows into {path}")
 
 
 def bench_failure_resilience(benchmark):
-    results, core = run_once(benchmark, _experiment)
-    _report(results)
-    _write_bench_core(core)
-
-
-if __name__ == "__main__":
-    results, core = _experiment()
-    _report(results)
-    _write_json(results)
-    _write_bench_core(core)
+    run_once(benchmark, section)

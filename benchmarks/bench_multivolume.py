@@ -20,17 +20,15 @@ headline claims, asserted deterministically:
   count** — the paper's sharing advantage is not an artifact of a single
   serialised disk.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/multivolume_results.json`` for CI
-artifacts)::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_multivolume
+    PYTHONPATH=src python -m benchmarks.core multivolume
 """
 
 from __future__ import annotations
 
-import json
-import os
+import time
 
 from benchmarks._harness import print_banner, run_once
 from repro.common.config import BufferConfig, CpuConfig, DiskConfig, SystemConfig
@@ -54,12 +52,6 @@ NUM_STREAMS = 16
 STRIDE = 6
 SPAN = 32
 NUM_CHUNKS = 96
-
-#: Where the standalone run writes its machine-readable results.
-JSON_PATH = os.environ.get(
-    "REPRO_MULTIVOLUME_JSON",
-    os.path.join("benchmarks", "out", "multivolume_results.json"),
-)
 
 
 def _base_config(capacity_chunks: int) -> SystemConfig:
@@ -134,12 +126,15 @@ def _dsm_case():
 
 
 def _experiment():
-    """Sweep volumes x policies for both layouts; returns nested stats."""
+    """Sweep volumes x policies for both layouts; returns nested stats and
+    the wall-clock seconds of each (layout, volumes) point."""
     results = {}
+    walls = {}
     for layout_name, runner in (("NSM", _nsm_case()), ("DSM", _dsm_case())):
         per_layout = {}
         for volumes in VOLUME_COUNTS:
             per_volumes = {}
+            started = time.perf_counter()
             for policy in POLICIES:
                 run = runner(policy, volumes)
                 per_volumes[policy] = {
@@ -150,9 +145,10 @@ def _experiment():
                     "volume_utilisation": list(run.volume_utilisation),
                     "sequential_fraction": run.disk_sequential_fraction,
                 }
+            walls[layout_name, volumes] = time.perf_counter() - started
             per_layout[volumes] = per_volumes
         results[layout_name] = per_layout
-    return results
+    return results, walls
 
 
 def _report(results):
@@ -217,29 +213,32 @@ def _report(results):
         )
 
 
-def _write_json(results) -> None:
-    payload = {
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    results, walls = _experiment()
+    _report(results)
+    return {
         "workload": {
             "num_streams": NUM_STREAMS, "stride": STRIDE, "span": SPAN,
             "num_chunks": NUM_CHUNKS, "policies": list(POLICIES),
-            "volume_counts": list(VOLUME_COUNTS),
         },
-        "results": results,
+        "rows": [
+            {
+                "layout": layout_name,
+                "volumes": volumes,
+                "queries": NUM_STREAMS,
+                "chunks": NUM_CHUNKS,
+                "wall_clock_s": round(walls[layout_name, volumes], 4),
+                **{
+                    f"{policy}_qps": round(stats[policy]["throughput_qps"], 4)
+                    for policy in POLICIES
+                },
+            }
+            for layout_name, per_layout in results.items()
+            for volumes, stats in per_layout.items()
+        ],
     }
-    directory = os.path.dirname(JSON_PATH)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(JSON_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {JSON_PATH}")
 
 
 def bench_multivolume(benchmark):
-    results = run_once(benchmark, _experiment)
-    _report(results)
-
-
-if __name__ == "__main__":
-    results = _experiment()
-    _report(results)
-    _write_json(results)
+    run_once(benchmark, section)

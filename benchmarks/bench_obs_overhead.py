@@ -10,26 +10,24 @@ and enforces the contract:
   fingerprints match the untraced run bit for bit;
 * **bounded overhead** — traced wall-clock time stays within
   ``OVERHEAD_BUDGET`` (1.5x) of the untraced run (best of ``SAMPLES``
-  samples each, to shrug off machine noise);
+  interleaved samples each, to shrug off machine noise);
 * **valid exports** — the Chrome trace-event JSON passes
   :func:`repro.obs.export.validate_chrome_trace` (Perfetto-loadable) and
   the JSONL export round-trips exactly.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/obs_trace.json``,
-``benchmarks/out/obs_trace.jsonl`` and
-``benchmarks/out/obs_overhead_results.json`` for the CI artifact)::
+Run it through the benchmark driver, which also writes both exports to
+``benchmarks/out/obs_trace.json`` and ``benchmarks/out/obs_trace.jsonl``
+(or under pytest-benchmark like the other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_obs_overhead
+    PYTHONPATH=src python -m benchmarks.core obs_overhead
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
-from benchmarks._harness import print_banner, run_once
+from benchmarks._harness import print_banner, run_once, spread
 from repro.cluster import ShardMap
 from repro.cluster.coordinator import run_cluster_service
 from repro.common.config import (
@@ -46,8 +44,6 @@ from repro.obs.export import (
     read_jsonl,
     to_jsonl,
     validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
 )
 from repro.service import poisson_arrivals
 from repro.sim.results import scheduling_fingerprint
@@ -66,10 +62,6 @@ RATE_QPS = 1.2
 OVERHEAD_BUDGET = 1.5
 #: Best-of-N sampling on both sides to absorb scheduler noise.
 SAMPLES = 5
-
-OUT_DIR = os.environ.get(
-    "REPRO_OBS_OUT_DIR", os.path.join("benchmarks", "out")
-)
 
 
 def _config() -> SystemConfig:
@@ -134,33 +126,34 @@ def _one_run(config, arrivals, cluster, shard_abms, obs):
 
 
 def _timed_pair(config, arrivals, cluster, shard_abms):
-    """Best-of-``SAMPLES`` wall-clock for the untraced and traced runs.
+    """``SAMPLES`` wall-clock samples of the untraced and traced runs.
 
     The two variants are *interleaved* (untraced, traced, untraced, ...) so
     a slow patch on the host machine — frequency scaling, a background
     task — degrades both sides rather than skewing the ratio.  Every sample
     is deterministic, so returning the last result of each is fine.
     """
-    untraced_s = traced_s = float("inf")
+    untraced_times, traced_times = [], []
     untraced = traced = None
     for _ in range(SAMPLES):
         elapsed, untraced = _one_run(
             config, arrivals, cluster, shard_abms, obs=None
         )
-        untraced_s = min(untraced_s, elapsed)
+        untraced_times.append(elapsed)
         elapsed, traced = _one_run(
             config, arrivals, cluster, shard_abms, obs=ObservabilityConfig()
         )
-        traced_s = min(traced_s, elapsed)
-    return untraced_s, untraced, traced_s, traced
+        traced_times.append(elapsed)
+    return untraced_times, untraced, traced_times, traced
 
 
 def _experiment():
     config = _config()
     arrivals, cluster, shard_abms = _workload(config)
-    untraced_s, untraced, traced_s, traced = _timed_pair(
+    untraced_times, untraced, traced_times, traced = _timed_pair(
         config, arrivals, cluster, shard_abms
     )
+    untraced_s, traced_s = min(untraced_times), min(traced_times)
 
     for plain, observed in zip(untraced.shard_runs, traced.shard_runs):
         assert scheduling_fingerprint(plain) == scheduling_fingerprint(
@@ -181,54 +174,55 @@ def _experiment():
     assert read_jsonl(to_jsonl(traced.obs)) == traced.obs.events, (
         "JSONL export did not round-trip"
     )
-    return {
-        "untraced_wall_clock_s": untraced_s,
-        "traced_wall_clock_s": traced_s,
-        "overhead_ratio": ratio,
+    row = {
+        "samples": SAMPLES,
+        "untraced_s": spread(untraced_times),
+        "traced_s": spread(traced_times),
+        "overhead_ratio": round(ratio, 4),
         "budget": OVERHEAD_BUDGET,
         "trace_events": len(traced.obs.events),
         "chrome_records": num_records,
         "metric_series": len(traced.obs.metrics.names()),
-        "result": traced,
     }
+    return row, traced
 
 
-def _report(stats) -> None:
+def _report(row) -> None:
     print_banner(
         f"Observability overhead: {SHARDS}-shard traced cluster "
         f"(budget {OVERHEAD_BUDGET}x untraced)"
     )
     print(
-        f"untraced {stats['untraced_wall_clock_s']:.4f}s, "
-        f"traced {stats['traced_wall_clock_s']:.4f}s "
-        f"({stats['overhead_ratio']:.2f}x, budget {stats['budget']}x)"
+        f"best of {SAMPLES}: untraced {row['untraced_s']['min']:.4f}s, "
+        f"traced {row['traced_s']['min']:.4f}s "
+        f"({row['overhead_ratio']:.2f}x, budget {row['budget']}x)"
     )
     print(
-        f"{stats['trace_events']} trace events, "
-        f"{stats['chrome_records']} Chrome records, "
-        f"{stats['metric_series']} metric series"
+        f"{row['trace_events']} trace events, "
+        f"{row['chrome_records']} Chrome records, "
+        f"{row['metric_series']} metric series"
     )
 
 
-def _write_artifacts(stats) -> None:
-    os.makedirs(OUT_DIR, exist_ok=True)
-    traced = stats.pop("result")
-    chrome_path = os.path.join(OUT_DIR, "obs_trace.json")
-    write_chrome_trace(traced.obs, chrome_path)
-    jsonl_path = os.path.join(OUT_DIR, "obs_trace.jsonl")
-    write_jsonl(traced.obs, jsonl_path)
-    results_path = os.path.join(OUT_DIR, "obs_overhead_results.json")
-    with open(results_path, "w") as handle:
-        json.dump(stats, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {chrome_path}, {jsonl_path} and {results_path}")
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section
+    and both trace exports."""
+    row, traced = _experiment()
+    _report(row)
+    return {
+        "workload": {
+            "shards": SHARDS,
+            "num_chunks": NUM_CHUNKS,
+            "num_queries": NUM_QUERIES,
+            "rate_qps": RATE_QPS,
+        },
+        "rows": [row],
+        "files": {
+            "obs_trace.json": json.dumps(chrome_trace(traced.obs)),
+            "obs_trace.jsonl": to_jsonl(traced.obs),
+        },
+    }
 
 
 def bench_obs_overhead(benchmark):
-    stats = run_once(benchmark, _experiment)
-    _report(stats)
-
-
-if __name__ == "__main__":
-    stats = _experiment()
-    _report(stats)
-    _write_artifacts(stats)
+    run_once(benchmark, section)

@@ -21,21 +21,18 @@ one DSM point, runs every scenario once with the oracle swapped in
   per-decision time by strictly less than k (the naive mode's per-decision
   cost is what grows with Q).
 
-Run it under pytest-benchmark like the other benchmarks, or standalone
-(which also writes ``benchmarks/out/scheduling_overhead_results.json`` for
-the CI artifact).  Either way, run it from the repository root: the naive
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks).  Either way, run it from the repository root: the naive
 side is imported from ``tests.naive_relevance``::
 
-    PYTHONPATH=src python -m benchmarks.bench_scheduling_overhead
+    PYTHONPATH=src python -m benchmarks.core scheduling_overhead
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
-from benchmarks._harness import SCALE, print_banner, run_once, update_bench_core
+from benchmarks._harness import SCALE, print_banner, run_once
 from repro.common.config import PAPER_DSM_SYSTEM, PAPER_NSM_SYSTEM
 from repro.common.units import GB
 from repro.metrics.report import format_table
@@ -60,14 +57,6 @@ if SCALE == "paper":
 else:
     STREAM_COUNTS = (4, 8, 16)
     CHUNK_COUNTS = (128, 256)
-
-#: Where the standalone run writes its machine-readable results.
-JSON_PATH = os.environ.get(
-    "REPRO_SCHED_OVERHEAD_JSON",
-    os.path.join("benchmarks", "out", "scheduling_overhead_results.json"),
-)
-
-
 
 
 def _nsm_case(num_streams: int, num_chunks: int):
@@ -250,67 +239,33 @@ def _report(results) -> None:
         print()
 
 
-def _write_json(results) -> None:
-    payload = {
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    results = _experiment()
+    _report(results)
+    return {
         "workload": {
             "stream_counts": list(STREAM_COUNTS),
             "chunk_counts": list(CHUNK_COUNTS),
             "queries_per_stream": QUERIES_PER_STREAM,
-            "scale": SCALE,
         },
-        "results": results,
-    }
-    directory = os.path.dirname(JSON_PATH)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(JSON_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {JSON_PATH}")
-
-
-def _core_rows(results) -> list:
-    """The ``BENCH_core.json`` rows: one per (layout, queries x chunks)."""
-    rows = []
-    for layout_name, per_layout in results.items():
-        for stats in sorted(
-            per_layout.values(), key=lambda s: (s["chunks"], s["queries"])
-        ):
-            rows.append(
-                {
-                    "layout": layout_name,
-                    "queries": stats["queries"],
-                    "chunks": stats["chunks"],
-                    "shards": 1,
-                    "wall_clock_s": round(stats["wall_clock_s"], 4),
-                    "per_decision_us": round(
-                        stats["incremental_per_decision_us"], 3
-                    ),
-                }
+        "rows": [
+            {
+                "layout": layout_name,
+                "queries": stats["queries"],
+                "chunks": stats["chunks"],
+                "shards": 1,
+                "scheduling_calls": stats["scheduling_calls"],
+                "wall_clock_s": round(stats["wall_clock_s"], 4),
+                "per_decision_us": round(stats["incremental_per_decision_us"], 3),
+            }
+            for layout_name, per_layout in results.items()
+            for stats in sorted(
+                per_layout.values(), key=lambda s: (s["chunks"], s["queries"])
             )
-    return rows
-
-
-def _write_bench_core(results) -> None:
-    path = update_bench_core(
-        "scheduling_overhead",
-        _core_rows(results),
-        workload={
-            "stream_counts": list(STREAM_COUNTS),
-            "chunk_counts": list(CHUNK_COUNTS),
-            "queries_per_stream": QUERIES_PER_STREAM,
-        },
-    )
-    print(f"merged core rows into {path}")
+        ],
+    }
 
 
 def bench_scheduling_overhead(benchmark):
-    results = run_once(benchmark, _experiment)
-    _report(results)
-    _write_bench_core(results)
-
-
-if __name__ == "__main__":
-    results = _experiment()
-    _report(results)
-    _write_json(results)
-    _write_bench_core(results)
+    run_once(benchmark, section)

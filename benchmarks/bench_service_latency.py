@@ -17,12 +17,15 @@ sharing argument restated for a service: **relevance sustains a strictly
 higher offered load than no-sharing at equal tail latency**, on both
 layouts.
 
-Run it under pytest-benchmark like the other benchmarks, or standalone::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks)::
 
-    PYTHONPATH=src python -m benchmarks.bench_service_latency
+    PYTHONPATH=src python -m benchmarks.core service_latency
 """
 
-from benchmarks._harness import SCALE, dsm_setup, nsm_setup, print_banner, run_once
+import time
+
+from benchmarks._harness import dsm_setup, nsm_setup, print_banner, run_once
 from repro.common.config import ServiceConfig
 from repro.metrics.report import format_table
 from repro.service import compare_service_policies, poisson_arrivals
@@ -45,8 +48,10 @@ SLO_FACTOR = 1.5
 
 
 def _sweep(templates, layout, config, factory_for_policy):
-    """One latency-vs-load sweep; returns {lambda: {policy: SLOReport}}."""
+    """One latency-vs-load sweep; returns {lambda: {policy: SLOReport}} and
+    its wall-clock seconds."""
     service = ServiceConfig(max_concurrent=MPL, queue_capacity=None)
+    started = time.perf_counter()
     curve = {}
     for offered_load in OFFERED_LOADS:
         arrivals = poisson_arrivals(
@@ -58,12 +63,12 @@ def _sweep(templates, layout, config, factory_for_policy):
         curve[offered_load] = {
             policy: outcome.slo for policy, outcome in results.items()
         }
-    return curve
+    return curve, time.perf_counter() - started
 
 
 def _experiment():
     nsm_config, nsm_layout, nsm_fast, nsm_slow = nsm_setup()
-    nsm_curve = _sweep(
+    nsm_curve, nsm_wall = _sweep(
         standard_templates(nsm_fast, nsm_slow, percentages=(10, 50, 100)),
         nsm_layout,
         nsm_config,
@@ -71,7 +76,7 @@ def _experiment():
     )
 
     dsm_config, dsm_layout, dsm_fast, dsm_slow, capacity_pages = dsm_setup()
-    dsm_curve = _sweep(
+    dsm_curve, dsm_wall = _sweep(
         standard_templates(dsm_fast, dsm_slow, percentages=(10, 50, 100)),
         dsm_layout,
         dsm_config,
@@ -79,7 +84,10 @@ def _experiment():
             dsm_layout, dsm_config, policy, capacity_pages=capacity_pages
         ),
     )
-    return {"NSM": nsm_curve, "DSM": dsm_curve}
+    return (
+        {"NSM": nsm_curve, "DSM": dsm_curve},
+        {"NSM": nsm_wall, "DSM": dsm_wall},
+    )
 
 
 def _slo_threshold(curve):
@@ -146,10 +154,33 @@ def _report(results):
             )
 
 
-def bench_service_latency(benchmark):
-    results = run_once(benchmark, _experiment)
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    results, walls = _experiment()
     _report(results)
+    rows = []
+    for layout_name, curve in results.items():
+        threshold = _slo_threshold(curve)
+        rows.append({
+            "layout": layout_name,
+            "queries": NUM_QUERIES * len(OFFERED_LOADS) * len(POLICIES),
+            "slo_p95_s": round(threshold, 4),
+            "sustained_qps": {
+                policy: _max_sustained_load(curve, policy, threshold)
+                for policy in POLICIES
+            },
+            "wall_clock_s": round(walls[layout_name], 4),
+        })
+    return {
+        "workload": {
+            "num_queries": NUM_QUERIES,
+            "mpl": MPL,
+            "offered_loads": list(OFFERED_LOADS),
+            "slo_factor": SLO_FACTOR,
+        },
+        "rows": rows,
+    }
 
 
-if __name__ == "__main__":
-    _report(_experiment())
+def bench_service_latency(benchmark):
+    run_once(benchmark, section)

@@ -12,25 +12,22 @@ numeric: the relevance policy's argmin/argmax over candidate chunks becomes
 a masked C-side reduction over the tracker's dense counters, so the gap
 widens with buffer capacity and concurrent-query count.
 
-Each point runs ``SAMPLES`` interleaved scalar/vector pairs; the rows
-(queries x chunks -> median, min and max seconds per tracker, plus the
-tracker the ABM picks by itself) merge into the repo-root
-``BENCH_core.json`` under the ``vector_core`` section, with the environment
-(python/numpy/CPU count) stamped at the top level.
+Each point runs ``SAMPLES`` interleaved scalar/vector pairs; each row is
+queries x chunks -> median, min and max seconds per tracker, plus the
+tracker the ABM picks by itself.
 
-Run under pytest-benchmark like the other benchmarks, or standalone, from
-the repository root (both trackers are pinned through the helpers in
-``tests.naive_relevance``)::
+Run it through the benchmark driver (or under pytest-benchmark like the
+other benchmarks), from the repository root: both trackers are pinned
+through the helpers in ``tests.naive_relevance``::
 
-    PYTHONPATH=src python -m benchmarks.bench_vector_core
+    PYTHONPATH=src python -m benchmarks.core vector_core
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 
-from benchmarks._harness import SCALE, print_banner, run_once, update_bench_core
+from benchmarks._harness import SCALE, print_banner, run_once, spread
 from repro.common.config import (
     BufferConfig,
     CpuConfig,
@@ -127,14 +124,6 @@ def _tracker_case(streams_n: int, capacity: int, chunks: int, cores: int):
     return run, default
 
 
-def _spread(walls) -> dict:
-    return {
-        "median": round(statistics.median(walls), 3),
-        "min": round(min(walls), 3),
-        "max": round(max(walls), 3),
-    }
-
-
 def _measure_trackers() -> list:
     rows = []
     for streams_n, capacity, chunks, cores in GRID:
@@ -151,7 +140,7 @@ def _measure_trackers() -> list:
                 assert fingerprint == reference, (
                     f"{tracker} tracker changed a scheduling decision"
                 )
-        scalar, vector = _spread(walls["scalar"]), _spread(walls["vector"])
+        scalar, vector = spread(walls["scalar"]), spread(walls["vector"])
         rows.append(
             {
                 "queries": streams_n * QUERIES_PER_STREAM,
@@ -177,16 +166,10 @@ def _assert_claims(rows) -> None:
     )
 
 
-def _experiment():
-    rows = _measure_trackers()
-    _assert_claims(rows)
-    return {"trackers": rows}
-
-
-def _report(results) -> None:
+def _report(rows) -> None:
     print_banner("Interest trackers: scalar vs vector (NSM relevance)")
     print(f"median [min-max] of {SAMPLES} interleaved runs per tracker:")
-    for row in results["trackers"]:
+    for row in rows:
         scalar, vector = row["scalar_s"], row["vector_s"]
         print(
             f"  {row['queries']:4d} queries x {row['chunks']:5d} chunks "
@@ -197,27 +180,21 @@ def _report(results) -> None:
         )
 
 
-def _write_bench_core(results) -> None:
-    path = update_bench_core(
-        "vector_core",
-        results["trackers"],
-        workload={
+def section():
+    """Run, report and gate the experiment; returns its ``BENCH_core`` section."""
+    rows = _measure_trackers()
+    _report(rows)
+    _assert_claims(rows)
+    return {
+        "workload": {
             "grid": [list(point) for point in GRID],
             "queries_per_stream": QUERIES_PER_STREAM,
             "samples": SAMPLES,
             "vector_speedup_floor": VECTOR_SPEEDUP_FLOOR,
         },
-    )
-    print(f"merged core rows into {path}")
+        "rows": rows,
+    }
 
 
 def bench_vector_core(benchmark):
-    results = run_once(benchmark, _experiment)
-    _report(results)
-    _write_bench_core(results)
-
-
-if __name__ == "__main__":
-    results = _experiment()
-    _report(results)
-    _write_bench_core(results)
+    run_once(benchmark, section)

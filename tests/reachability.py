@@ -12,9 +12,7 @@ plus the ``test_*.py`` files under ``benchmarks/``.  Two passes:
   workload (``benchmarks.e2e.workloads.WORKLOADS``) and records the first
   call of each ``src/`` function; ``--benchmarks`` adds one run of every
   ``bench_*`` function through a stand-in ``benchmark`` fixture (they
-  write their usual outputs under ``benchmarks/out/``, and their
-  ``BENCH_core.json`` rows go to a temporary file, so the tracked one is
-  left alone).  It prints the functions nothing called, with their line
+  write nothing).  It prints the functions nothing called, with their line
   counts, grouped by file.  Names that also appear as text under
   ``benchmarks/`` or ``examples/`` are starred: they may be called on a
   paper-scale branch the small runs skip.  It exits non-zero when an
@@ -53,7 +51,6 @@ import os
 import re
 import runpy
 import sys
-import tempfile
 import time
 import traceback
 from collections import defaultdict
@@ -501,20 +498,6 @@ def _names_in_entry_point_text() -> Set[str]:
     return names
 
 
-@contextlib.contextmanager
-def _bench_core_in_temp_dir():
-    """Point the benchmarks' ``BENCH_core.json`` writes at a temporary file."""
-    from benchmarks import _harness
-
-    saved = _harness.BENCH_CORE_PATH
-    with tempfile.TemporaryDirectory() as scratch:
-        _harness.BENCH_CORE_PATH = os.path.join(scratch, "BENCH_core.json")
-        try:
-            yield
-        finally:
-            _harness.BENCH_CORE_PATH = saved
-
-
 def functions_report(with_benchmarks: bool) -> int:
     failures: List[str] = []
     runs: List[Tuple[str, Callable[[], object]]] = []
@@ -522,21 +505,19 @@ def functions_report(with_benchmarks: bool) -> int:
     def run_all() -> None:
         # Imported under the recorder, so import-time calls count too.
         runs.extend(_entry_points(with_benchmarks))
-        elsewhere = _bench_core_in_temp_dir() if with_benchmarks else contextlib.nullcontext()
-        with elsewhere:
-            for label, thunk in runs:
-                started = time.perf_counter()
-                try:
-                    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                        thunk()
-                except SystemExit as error:
-                    if error.code:
-                        failures.append(f"{label}: exited with {error.code}")
-                except Exception as error:  # one entry point failed; report the rest
-                    traceback.print_exc()
-                    failures.append(f"{label}: {type(error).__name__}: {error}")
-                print(f"  ran {label} in {time.perf_counter() - started:.1f} s",
-                      file=sys.stderr, flush=True)
+        for label, thunk in runs:
+            started = time.perf_counter()
+            try:
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                    thunk()
+            except SystemExit as error:
+                if error.code:
+                    failures.append(f"{label}: exited with {error.code}")
+            except Exception as error:  # one entry point failed; report the rest
+                traceback.print_exc()
+                failures.append(f"{label}: {type(error).__name__}: {error}")
+            print(f"  ran {label} in {time.perf_counter() - started:.1f} s",
+                  file=sys.stderr, flush=True)
 
     started = time.perf_counter()
     called = {
