@@ -9,8 +9,8 @@ and enforces the contract:
 * **identical decisions** — the traced run's per-shard scheduling
   fingerprints match the untraced run bit for bit;
 * **bounded overhead** — traced wall-clock time stays within
-  ``OVERHEAD_BUDGET`` (1.5x) of the untraced run (best of ``SAMPLES``
-  interleaved samples each, to shrug off machine noise);
+  ``OVERHEAD_BUDGET`` (1.5x) of the untraced run: the median, over
+  ``SAMPLES`` interleaved untraced/traced pairs, of each pair's ratio;
 * **valid exports** — the Chrome trace-event JSON passes
   :func:`repro.obs.export.validate_chrome_trace` (Perfetto-loadable) and
   the JSONL export round-trips exactly.
@@ -24,7 +24,9 @@ Run it through the benchmark driver, which also writes both exports to
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 
 from benchmarks._harness import print_banner, run_once, spread
@@ -60,8 +62,11 @@ ARRIVAL_SEED = 7
 RATE_QPS = 1.2
 #: Traced wall-clock must stay within this multiple of untraced.
 OVERHEAD_BUDGET = 1.5
-#: Best-of-N sampling on both sides to absorb scheduler noise.
-SAMPLES = 5
+#: Interleaved untraced/traced pairs.  The true overhead is about 1.3x; on
+#: a shared 2-vCPU host the best-of-5 ratio it replaced spread 1.1-1.74x
+#: and failed about one trial in twenty whatever the pair count (it divides
+#: two extremes), while the median pair ratio of 15 pairs spread 1.29-1.40x.
+SAMPLES = 15
 
 
 def _config() -> SystemConfig:
@@ -118,6 +123,9 @@ def _workload(config: SystemConfig):
 
 
 def _one_run(config, arrivals, cluster, shard_abms, obs):
+    # Start every sample with no collectable garbage left by the previous
+    # one (a traced run leaves far more than an untraced one).
+    gc.collect()
     started = time.perf_counter()
     outcome = run_cluster_service(
         arrivals, config, shard_abms(), cluster, obs=obs
@@ -153,7 +161,7 @@ def _experiment():
     untraced_times, untraced, traced_times, traced = _timed_pair(
         config, arrivals, cluster, shard_abms
     )
-    untraced_s, traced_s = min(untraced_times), min(traced_times)
+    ratios = [traced / untraced for untraced, traced in zip(untraced_times, traced_times)]
 
     for plain, observed in zip(untraced.shard_runs, traced.shard_runs):
         assert scheduling_fingerprint(plain) == scheduling_fingerprint(
@@ -163,10 +171,10 @@ def _experiment():
         "tracing changed the SLO report"
     )
 
-    ratio = traced_s / untraced_s if untraced_s > 0 else float("inf")
+    ratio = statistics.median(ratios)
     assert ratio <= OVERHEAD_BUDGET, (
-        f"traced run took {ratio:.2f}x the untraced wall-clock "
-        f"(budget {OVERHEAD_BUDGET}x): {traced_s:.4f}s vs {untraced_s:.4f}s"
+        f"traced run took {ratio:.2f}x the untraced wall-clock, median over "
+        f"{SAMPLES} pairs (budget {OVERHEAD_BUDGET}x); pair ratios {spread(ratios)}"
     )
 
     payload = chrome_trace(traced.obs)
@@ -178,6 +186,7 @@ def _experiment():
         "samples": SAMPLES,
         "untraced_s": spread(untraced_times),
         "traced_s": spread(traced_times),
+        "pair_ratios": spread(ratios),
         "overhead_ratio": round(ratio, 4),
         "budget": OVERHEAD_BUDGET,
         "trace_events": len(traced.obs.events),
@@ -193,9 +202,9 @@ def _report(row) -> None:
         f"(budget {OVERHEAD_BUDGET}x untraced)"
     )
     print(
-        f"best of {SAMPLES}: untraced {row['untraced_s']['min']:.4f}s, "
-        f"traced {row['traced_s']['min']:.4f}s "
-        f"({row['overhead_ratio']:.2f}x, budget {row['budget']}x)"
+        f"median of {SAMPLES} pairs: untraced {row['untraced_s']['median']:.4f}s, "
+        f"traced {row['traced_s']['median']:.4f}s, "
+        f"pair ratio {row['overhead_ratio']:.2f}x (budget {row['budget']}x)"
     )
     print(
         f"{row['trace_events']} trace events, "

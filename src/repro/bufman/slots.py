@@ -222,7 +222,9 @@ class DSMBlockPool:
         #: Optional observer (the DSM ABM's interest tracker) notified when a
         #: block becomes buffered or is evicted; must provide
         #: ``on_block_loaded(chunk, column, pages)`` and
-        #: ``on_block_evicted(chunk, column, pages)``.
+        #: ``on_block_evicted(chunk, column, pages)``; it may additionally
+        #: provide ``on_block_load_started(chunk, column)`` (used by the
+        #: tracker's unrequested-block counts) -- an absent hook is skipped.
         self.listener = None
 
     # ------------------------------------------------------------ inspection
@@ -240,6 +242,10 @@ class DSMBlockPool:
     def has_block(self, chunk: int, column: str) -> bool:
         """Whether the block is fully buffered."""
         return (chunk, column) in self._blocks
+
+    def holds_chunk(self, chunk: int) -> bool:
+        """Whether at least one block of the chunk is buffered."""
+        return chunk in self._by_chunk
 
     def blocks_of_chunk(self, chunk: int) -> List[BlockState]:
         """All buffered blocks belonging to one logical chunk."""
@@ -283,6 +289,24 @@ class DSMBlockPool:
             chunk = block.chunk
             if chunk not in reserved and chunk not in protect_chunks:
                 yield block
+
+    def evictable_blocks_of(
+        self, chunks: Iterable[int], protect_chunks: Sequence[int] = ()
+    ) -> List[BlockState]:
+        """The :meth:`evictable_blocks` that belong to ``chunks``, in the same
+        order, gathered from the per-chunk index and sorted: the cost follows
+        the blocks of ``chunks``, not the size of the pool."""
+        reserved = self._reserved_chunks
+        blocks = [
+            state
+            for chunk in chunks
+            if chunk not in reserved and chunk not in protect_chunks
+            for state in self._by_chunk.get(chunk, {}).values()
+            if not state.pinned
+        ]
+        # An unpinned block sits in the index under its current key.
+        blocks.sort(key=lambda state: (state.last_used, state.load_seq))
+        return blocks
 
     def _index_add(self, state: BlockState) -> None:
         entry = (state.last_used, state.load_seq)
@@ -328,6 +352,9 @@ class DSMBlockPool:
             )
         self._loading[key] = pages
         self._used_pages += pages
+        hook = getattr(self.listener, "on_block_load_started", None)
+        if hook is not None:
+            hook(*key)
 
     def complete_load(self, key: BlockKey, now: float) -> BlockState:
         """Mark an in-flight block load as finished."""

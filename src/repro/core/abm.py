@@ -233,16 +233,6 @@ class _BaseABM:
         handles = self._handles
         return [handles[qid] for qid in self.tracker.starved_ids_ordered()]
 
-    def starved_interested_count(self, chunk: int) -> int:
-        """Number of interested queries of the chunk that are starved (the
-        ``Qmax``-weighted term of ``loadRelevance``)."""
-        return self.tracker.starved_interested_count(chunk)
-
-    def almost_starved_interested_count(self, chunk: int) -> int:
-        """Number of interested queries of the chunk that are almost starved
-        (the ``Qmax``-weighted term of ``keepRelevance``)."""
-        return self.tracker.almost_starved_interested_count(chunk)
-
     def available_chunks(self, handle: CScanHandle) -> List[int]:
         """Chunks the query could consume right now, in chunk order (NSM:
         buffered; DSM: every needed column buffered)."""
@@ -316,6 +306,17 @@ class ActiveBufferManager(_BaseABM):
 
     def _policy(self) -> "SchedulingPolicy":
         return self.policy
+
+    # --------------------------------------------------------- starvation
+    def starved_interested_count(self, chunk: int) -> int:
+        """Number of interested queries of the chunk that are starved (the
+        ``Qmax``-weighted term of ``loadRelevance``)."""
+        return self.tracker.starved_interested_count(chunk)
+
+    def almost_starved_interested_count(self, chunk: int) -> int:
+        """Number of interested queries of the chunk that are almost starved
+        (the ``Qmax``-weighted term of ``keepRelevance``)."""
+        return self.tracker.almost_starved_interested_count(chunk)
 
     # ----------------------------------------------------------- inspection
     def chunk_size(self, chunk: int) -> int:
@@ -523,16 +524,6 @@ class DSMActiveBufferManager(_BaseABM):
         ``useRelevance`` numerator and the reservation criterion)."""
         return self.tracker.cached_pages(handle.query_id, chunk)
 
-    def overlapping_handles(self, chunk: int, columns: Iterable[str]) -> List[CScanHandle]:
-        """Handles interested in ``chunk`` that share at least one column with
-        ``columns`` (the DSM notion of overlap from Figure 11)."""
-        wanted = set(columns)
-        return [
-            handle
-            for handle in self.interested_handles(chunk)
-            if wanted.intersection(handle.columns)
-        ]
-
     # ------------------------------------------------------------ data path
     def select_chunk(self, query_id: int, now: float) -> Optional[int]:
         """Pick the next ready chunk for a query to consume, pinning its blocks."""
@@ -675,10 +666,12 @@ class DSMActiveBufferManager(_BaseABM):
         for block in operation.blocks:
             self.pool.complete_load((operation.chunk, block.column), now)
         self.policy.on_chunk_loaded(operation.chunk, now)
-        woken = []
-        for handle in self.interested_handles(operation.chunk):
-            if handle.is_blocked and self.chunk_ready(handle, operation.chunk):
-                woken.append(handle.query_id)
+        available = self.tracker.available_chunks
+        woken = [
+            handle.query_id
+            for handle in self.interested_handles(operation.chunk)
+            if handle.is_blocked and operation.chunk in available(handle.query_id)
+        ]
         if self._obs is not None:
             self._obs.instant(
                 "abm.load.complete", "abm", now, self._obs_pid, "abm",

@@ -19,7 +19,7 @@ internal cursors (attach, elevator) without the ABM knowing about them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bufman.slots import BlockKey, BlockState
 from repro.core.cscan import CScanHandle
@@ -144,6 +144,13 @@ class DSMSchedulingPolicy(_PolicyBase):
         """Unpinned, unreserved blocks outside ``protect_chunks``, least
         recently used first: a lazy walk of the pool's LRU index."""
         return self.abm.pool.evictable_blocks(protect_chunks)
+
+    def _evictable_blocks_of(
+        self, chunks: Iterable[int], protect_chunks: Sequence[int] = ()
+    ) -> List[BlockState]:
+        """The :meth:`_evictable_blocks` of ``chunks``, in the same order,
+        without walking the rest of the index."""
+        return self.abm.pool.evictable_blocks_of(chunks, protect_chunks)
 
     def _lru_block_victims(
         self,

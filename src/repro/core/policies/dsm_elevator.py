@@ -8,7 +8,7 @@ queries."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.bufman.slots import BlockKey
 from repro.core.cscan import CScanHandle
@@ -30,16 +30,11 @@ class DSMElevatorPolicy(DSMSchedulingPolicy):
 
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
-        abm = self.abm
-        pool = abm.pool
-        candidates = abm.tracker.available_chunks(handle.query_id)
-        if not candidates:
+        ready = self.abm.tracker.ready_times(handle.query_id)
+        if not ready:
             return None
-
-        def readiness_time(chunk: int) -> float:
-            return max(pool.block((chunk, column)).loaded_at for column in handle.columns)
-
-        return min(candidates, key=lambda chunk: (readiness_time(chunk), chunk))
+        # The chunk that became ready first, ties to the lowest chunk id.
+        return min(zip(ready.values(), ready))[1]
 
     # ----------------------------------------------------------------- loads
     def choose_load(self, now: float) -> Optional[Tuple[int, int, Tuple[str, ...]]]:
@@ -48,29 +43,16 @@ class DSMElevatorPolicy(DSMSchedulingPolicy):
         active = [handle for handle in abm.active_handles() if not handle.finished]
         if not active:
             return None
+        tracker = abm.tracker
         for offset in range(num_chunks):
             chunk = (self._cursor + offset) % num_chunks
-            interested = abm.interested_handles(chunk)
-            if not interested:
+            columns = tracker.interested_columns(chunk)
+            if not columns or not abm.missing_columns(chunk, columns):
                 continue
-            columns = self._union_columns(interested)
-            if not abm.missing_columns(chunk, columns):
-                continue
-            query = self._pick_beneficiary(interested)
+            query = self._pick_beneficiary(abm.interested_handles(chunk))
             self._cursor = (chunk + 1) % num_chunks
-            return query.query_id, chunk, columns
+            return query.query_id, chunk, tuple(sorted(columns))
         return None
-
-    @staticmethod
-    def _union_columns(interested: List[CScanHandle]) -> Tuple[str, ...]:
-        columns: List[str] = []
-        seen = set()
-        for handle in interested:
-            for column in handle.columns:
-                if column not in seen:
-                    seen.add(column)
-                    columns.append(column)
-        return tuple(columns)
 
     @staticmethod
     def _pick_beneficiary(interested: List[CScanHandle]) -> CScanHandle:
@@ -85,19 +67,14 @@ class DSMElevatorPolicy(DSMSchedulingPolicy):
         abm = self.abm
         victims: List[BlockKey] = []
         freed = 0
-        # Blocks of one chunk are spread over the LRU walk; ask for each
-        # chunk's interest once.
-        unneeded: Dict[int, bool] = {}
-        for block in self._evictable_blocks(protect_chunks=(incoming_chunk,)):
-            chunk = block.chunk
-            free = unneeded.get(chunk)
-            if free is None:
-                free = unneeded[chunk] = abm.interested_count(chunk) == 0
-            if free:
-                victims.append(block.key)
-                freed += block.pages
-                if freed >= pages_short:
-                    return victims
+        # Blocks no query needs go first, least recently used first.
+        for block in self._evictable_blocks_of(
+            abm.tracker.unwanted_chunks(), protect_chunks=(incoming_chunk,)
+        ):
+            victims.append(block.key)
+            freed += block.pages
+            if freed >= pages_short:
+                return victims
         # Stalling the cursor (returning None) is the authentic elevator
         # behaviour, and it is safe as long as the system can still make
         # progress without this load: some query is crunching a chunk, has a

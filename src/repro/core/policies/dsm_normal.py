@@ -67,7 +67,7 @@ class DSMSequentialCursorPolicy(DSMSchedulingPolicy):
         chunk = self._cursor_chunk(handle)
         if chunk is None:
             return None
-        if not self.abm.chunk_ready(handle, chunk):
+        if chunk not in self.abm.tracker.available_chunks(handle.query_id):
             return None
         self._position[handle.query_id] += 1
         return chunk
@@ -75,15 +75,15 @@ class DSMSequentialCursorPolicy(DSMSchedulingPolicy):
     # ----------------------------------------------------------------- loads
     def _wanted_chunk(self, handle: CScanHandle) -> Optional[int]:
         """The chunk this query wants loaded next (demand, else one-ahead)."""
-        abm = self.abm
+        unrequested = self.abm.tracker.unrequested_count
         candidate = self._cursor_chunk(handle)
         if candidate is None:
             return None
-        if not abm.missing_columns(candidate, handle.columns):
+        if not unrequested(handle.query_id, candidate):
             if not self._prefetch:
                 return None
             candidate = self._chunk_after_cursor(handle)
-            if candidate is None or not abm.missing_columns(candidate, handle.columns):
+            if candidate is None or not unrequested(handle.query_id, candidate):
                 return None
         return candidate
 

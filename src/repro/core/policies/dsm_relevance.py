@@ -19,7 +19,7 @@ becomes column- and size-aware, and three DSM-specific mechanisms are added
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bufman.slots import BlockKey
 from repro.core.cscan import CScanHandle
@@ -50,13 +50,6 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
             self.abm.num_available_chunks(handle) < self.parameters.starvation_threshold
         )
 
-    def query_almost_starved(self, handle: CScanHandle) -> bool:
-        """Query is on the border of starvation (protect its chunks)."""
-        return (
-            self.abm.num_available_chunks(handle)
-            <= self.parameters.almost_starved_threshold
-        )
-
     def query_relevance(self, handle: CScanHandle, now: float) -> float:
         """Same shape as the NSM ``queryRelevance`` (Figure 3), including
         the per-class starvation weights and priority boosts (neutral for
@@ -82,56 +75,41 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
     def use_relevance(self, chunk: int, handle: CScanHandle) -> float:
         """``useRelevance`` (Figure 11): prefer chunks that occupy many cached
         pages and interest few overlapping queries, so they can be freed."""
-        overlapping = self.abm.overlapping_handles(chunk, handle.columns)
-        interested = max(1, len(overlapping))
-        cached_pages = self.abm.cached_pages_for(handle, chunk)
-        return cached_pages / interested
+        tracker = self.abm.tracker
+        interested = max(1, tracker.overlap_count(chunk, handle.query_id))
+        return tracker.cached_pages(handle.query_id, chunk) / interested
 
-    def load_relevance(self, chunk: int, handle: CScanHandle) -> Tuple[float, Tuple[str, ...]]:
+    def load_relevance(self, chunk: int, handle: CScanHandle) -> Tuple[float, FrozenSet[str]]:
         """``loadRelevance`` (Figure 11).
 
         Returns the score *and* the columns that would be loaded (the union of
-        the columns of the overlapping starved queries), because the caller
-        needs both.
+        the columns of the overlapping starved queries, and of the query's
+        own), because the caller needs both.
         """
         abm = self.abm
-        overlapping = [
-            other
-            for other in abm.overlapping_handles(chunk, handle.columns)
-            if self.query_starved(other)
-        ]
-        if handle not in overlapping and handle.is_interested(chunk):
-            overlapping.append(handle)
-        columns: List[str] = []
-        seen: Set[str] = set()
-        for other in overlapping:
-            for column in other.columns:
-                if column not in seen:
-                    seen.add(column)
-                    columns.append(column)
+        count, columns = abm.tracker.starved_overlap(chunk, handle.query_id)
+        # The query counts once: through the tracker when it is starved and
+        # reads a column, otherwise here if it still needs the chunk.
+        if handle.is_interested(chunk) and not (
+            handle.columns and self.query_starved(handle)
+        ):
+            count += 1
+            columns = columns.union(handle.columns)
         pages_to_load = abm.chunk_load_pages(chunk, columns)
         if pages_to_load <= 0:
-            return -math.inf, tuple(columns)
-        return len(overlapping) / pages_to_load, tuple(columns)
+            return -math.inf, columns
+        return count / pages_to_load, columns
 
     def keep_relevance(self, chunk: int) -> float:
         """``keepRelevance`` (Figure 11): chunks cheap to keep (few cached
         pages) and useful to many almost-starved queries are kept longest."""
-        abm = self.abm
-        almost_starved = [
-            handle
-            for handle in abm.interested_handles(chunk)
-            if self.query_almost_starved(handle)
-        ]
+        almost_starved, columns = self.abm.tracker.almost_starved_interest(chunk)
         if not almost_starved:
             return 0.0
-        columns: Set[str] = set()
-        for handle in almost_starved:
-            columns.update(handle.columns)
-        cached_pages = abm.pool.chunk_cached_pages(chunk, columns)
+        cached_pages = self.abm.pool.chunk_cached_pages(chunk, columns)
         if cached_pages <= 0:
-            return float(len(almost_starved))
-        return len(almost_starved) / cached_pages
+            return float(almost_starved)
+        return almost_starved / cached_pages
 
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
@@ -196,21 +174,20 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
             chosen = self._choose_chunk_to_load(handle)
             if chosen is not None:
                 chunk, columns = chosen
-                return handle.query_id, chunk, columns
+                return handle.query_id, chunk, tuple(sorted(columns))
         return None
 
     def _choose_chunk_to_load(
         self, handle: CScanHandle
-    ) -> Optional[Tuple[int, Tuple[str, ...]]]:
-        abm = self.abm
-        ready = abm.tracker.available_chunks(handle.query_id)
-        best: Optional[Tuple[int, Tuple[str, ...]]] = None
+    ) -> Optional[Tuple[int, FrozenSet[str]]]:
+        unrequested = self.abm.tracker.unrequested_count
+        query_id = handle.query_id
+        best: Optional[Tuple[int, FrozenSet[str]]] = None
         best_score = -math.inf
         for chunk in handle.needed:
-            if chunk in ready:
-                continue
-            if not abm.missing_columns(chunk, handle.columns):
-                # Everything this query needs for the chunk is in flight.
+            if not unrequested(query_id, chunk):
+                # Everything this query needs for the chunk is buffered or
+                # in flight.
                 continue
             score, columns = self.load_relevance(chunk, handle)
             if score == -math.inf:
@@ -233,16 +210,7 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
         victims: List[BlockKey] = []
         freed = 0
 
-        useful: Dict[int, Set[str]] = {}
-
-        def useful_columns(chunk: int) -> Set[str]:
-            columns = useful.get(chunk)
-            if columns is None:
-                columns = set()
-                for handle in abm.interested_handles(chunk):
-                    columns.update(handle.columns)
-                useful[chunk] = columns
-            return columns
+        useful_columns = abm.tracker.interested_columns
 
         # One walk of the LRU index serves all three steps: the pool does not
         # change until the ABM applies the victims.
@@ -264,11 +232,7 @@ class DSMRelevancePolicy(DSMSchedulingPolicy):
 
         # Step 2: iteratively victimise whole chunks by increasing keepRelevance.
         chunk_candidates = sorted(
-            {
-                block.chunk
-                for block in evictable
-                if not trigger.is_interested(block.chunk)
-            },
+            {block.chunk for block in evictable}.difference(trigger.needed),
             key=lambda chunk: (self.keep_relevance(chunk), chunk),
         )
         claimed = set(victims)

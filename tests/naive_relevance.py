@@ -20,7 +20,8 @@ scheduling-overhead benchmark imports it outside the test suite.
 
 from __future__ import annotations
 
-from typing import List, Set
+import math
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.abm import DSMActiveBufferManager
 from repro.core.interest import InterestTracker, VectorInterestTracker
@@ -90,10 +91,75 @@ class NaiveTracker:
             1 for query_id in self.interested_ids(chunk) if self.is_almost_starved(query_id)
         )
 
+    # ---------------------------------------------------------- DSM only
     def cached_pages(self, query_id: int, chunk: int) -> int:
-        """DSM only: buffered pages of the query's columns for the chunk."""
+        """Buffered pages of the query's columns for the chunk."""
         handle = self._abm.handle(query_id)
         return self._abm.pool.chunk_cached_pages(chunk, handle.columns)
+
+    def unrequested_count(self, query_id: int, chunk: int) -> int:
+        """The query's blocks of the chunk neither buffered nor in flight."""
+        handle = self._abm.handle(query_id)
+        return len(self._abm.missing_columns(chunk, handle.columns))
+
+    def ready_times(self, query_id: int) -> Dict[int, float]:
+        """Ready chunk -> the newest ``loaded_at`` of the query's blocks."""
+        handle = self._abm.handle(query_id)
+        pool = self._abm.pool
+        return {
+            chunk: max(
+                (pool.block((chunk, column)).loaded_at for column in handle.columns),
+                default=-math.inf,
+            )
+            for chunk in self.available_chunks(query_id)
+        }
+
+    def unwanted_chunks(self) -> Set[int]:
+        """Chunks with a buffered block that no registered query needs."""
+        return {
+            chunk for chunk in self._abm.pool._by_chunk if not self.interested_ids(chunk)
+        }
+
+    def _interested_handles(self, chunk: int):
+        return [self._abm.handle(query_id) for query_id in self.interested_ids(chunk)]
+
+    @staticmethod
+    def _union(handles) -> FrozenSet[str]:
+        return frozenset(column for handle in handles for column in handle.columns)
+
+    def interested_columns(self, chunk: int) -> FrozenSet[str]:
+        """Union of the columns of the chunk's interested queries."""
+        return self._union(self._interested_handles(chunk))
+
+    def _overlapping(self, chunk: int, query_id: int):
+        wanted = set(self._abm.handle(query_id).columns)
+        return [
+            handle
+            for handle in self._interested_handles(chunk)
+            if wanted.intersection(handle.columns)
+        ]
+
+    def overlap_count(self, chunk: int, query_id: int) -> int:
+        """Interested queries of the chunk sharing a column with the query."""
+        return len(self._overlapping(chunk, query_id))
+
+    def starved_overlap(self, chunk: int, query_id: int) -> Tuple[int, FrozenSet[str]]:
+        """Starved overlapping queries and the union of their columns."""
+        starved = [
+            handle
+            for handle in self._overlapping(chunk, query_id)
+            if self.is_starved(handle.query_id)
+        ]
+        return len(starved), self._union(starved)
+
+    def almost_starved_interest(self, chunk: int) -> Tuple[int, FrozenSet[str]]:
+        """Almost-starved interested queries and the union of their columns."""
+        almost = [
+            handle
+            for handle in self._interested_handles(chunk)
+            if self.is_almost_starved(handle.query_id)
+        ]
+        return len(almost), self._union(almost)
 
 
 def _swap_tracker(abm, tracker, listener, helper: str):

@@ -7,7 +7,9 @@ enough pages are freed.  :func:`oracle_evictable_blocks` answers the same
 question the obvious way -- a walk over every buffered block, in the
 order their loads completed, and a stable sort by ``last_used`` -- so it
 is correct by inspection.
-:func:`use_oracle_eviction` swaps it into a policy object; the eviction
+:func:`oracle_evictable_blocks_of` restricts it to some chunks, the
+oracle of :meth:`DSMBlockPool.evictable_blocks_of`.
+:func:`use_oracle_eviction` swaps both into a policy object; the eviction
 oracle tests then compare victim lists and scheduling fingerprints.
 
 This module imports nothing from pytest or ``tests/conftest.py``.
@@ -15,7 +17,7 @@ This module imports nothing from pytest or ``tests/conftest.py``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.bufman.slots import BlockState, DSMBlockPool
 
@@ -38,9 +40,21 @@ def oracle_evictable_blocks(
     return candidates
 
 
+def oracle_evictable_blocks_of(
+    pool: DSMBlockPool, chunks: Iterable[int], protect_chunks: Sequence[int] = ()
+) -> List[BlockState]:
+    """:func:`oracle_evictable_blocks` restricted to the blocks of ``chunks``."""
+    wanted = set(chunks)
+    return [
+        block
+        for block in oracle_evictable_blocks(pool, protect_chunks)
+        if block.chunk in wanted
+    ]
+
+
 def use_oracle_eviction(policy):
     """Make a DSM ``policy`` draw its eviction candidates from
-    :func:`oracle_evictable_blocks` instead of the pool's LRU index.
+    :func:`oracle_evictable_blocks` instead of the pool's indexes.
 
     Returns ``policy`` for chaining.
     """
@@ -48,5 +62,9 @@ def use_oracle_eviction(policy):
     def evictable_blocks(protect_chunks: Sequence[int] = ()):
         return iter(oracle_evictable_blocks(policy.abm.pool, protect_chunks))
 
+    def evictable_blocks_of(chunks: Iterable[int], protect_chunks: Sequence[int] = ()):
+        return oracle_evictable_blocks_of(policy.abm.pool, chunks, protect_chunks)
+
     policy._evictable_blocks = evictable_blocks
+    policy._evictable_blocks_of = evictable_blocks_of
     return policy

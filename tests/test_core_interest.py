@@ -3,13 +3,18 @@
 Beyond the golden-trace equivalence suite (which proves end-to-end that the
 trackers change no scheduling decision), these tests cross-check the
 maintained aggregates against the recompute-from-scratch oracle in
-``tests/naive_relevance.py`` after every lifecycle event, and pin the
+``tests/naive_relevance.py`` after every lifecycle event -- for the DSM
+tracker's column-level answers also after every event of random pool and
+query event sequences, at buffers down to 10% of the table -- and pin the
 satellite fixes: the ABM's starvation predicates follow the bound policy's
 ``RelevanceParameters`` instead of a hardcoded 2, and ``loads_triggered``
 has an entry for every registered query.
 """
 
 from __future__ import annotations
+
+import random
+from typing import Tuple
 
 import pytest
 
@@ -56,15 +61,17 @@ def _check_consistency(abm) -> None:
     """Every tracker aggregate must equal the oracle's recomputation."""
     tracker = abm.tracker
     oracle = NaiveTracker(abm)
+    dsm = isinstance(abm, DSMActiveBufferManager)
     for chunk in range(abm.num_chunks):
         assert tracker.interested_count(chunk) == oracle.interested_count(chunk)
         assert tracker.interested_ids(chunk) == oracle.interested_ids(chunk)
-        assert tracker.starved_interested_count(
-            chunk
-        ) == oracle.starved_interested_count(chunk)
-        assert tracker.almost_starved_interested_count(
-            chunk
-        ) == oracle.almost_starved_interested_count(chunk)
+        if not dsm:
+            assert tracker.starved_interested_count(
+                chunk
+            ) == oracle.starved_interested_count(chunk)
+            assert tracker.almost_starved_interested_count(
+                chunk
+            ) == oracle.almost_starved_interested_count(chunk)
     assert tracker.starved_ids_ordered() == oracle.starved_ids_ordered()
     for handle in abm.active_handles():
         query_id = handle.query_id
@@ -72,11 +79,37 @@ def _check_consistency(abm) -> None:
         assert tracker.available_count(query_id) == oracle.available_count(query_id)
         assert tracker._starved_flag[query_id] == oracle.is_starved(query_id)
         assert tracker._almost_flag[query_id] == oracle.is_almost_starved(query_id)
-        if isinstance(abm, DSMActiveBufferManager):
-            for chunk in handle.needed:
-                assert tracker.cached_pages(query_id, chunk) == oracle.cached_pages(
-                    query_id, chunk
-                )
+    if dsm:
+        _check_dsm_consistency(abm, tracker, oracle)
+
+
+def _check_dsm_consistency(abm, tracker, oracle) -> None:
+    """The DSM tracker's column-level answers against the oracle's walks."""
+    assert tracker.unwanted_chunks() == oracle.unwanted_chunks()
+    handles = abm.active_handles()
+    for chunk in range(abm.num_chunks):
+        assert tracker.interested_columns(chunk) == oracle.interested_columns(chunk)
+        assert tracker.almost_starved_interest(
+            chunk
+        ) == oracle.almost_starved_interest(chunk)
+        for handle in handles:
+            query_id = handle.query_id
+            assert tracker.overlap_count(chunk, query_id) == oracle.overlap_count(
+                chunk, query_id
+            )
+            assert tracker.starved_overlap(chunk, query_id) == oracle.starved_overlap(
+                chunk, query_id
+            )
+    for handle in handles:
+        query_id = handle.query_id
+        assert tracker.ready_times(query_id) == oracle.ready_times(query_id)
+        for chunk in handle.needed:
+            assert tracker.cached_pages(query_id, chunk) == oracle.cached_pages(
+                query_id, chunk
+            )
+            assert tracker.unrequested_count(
+                query_id, chunk
+            ) == oracle.unrequested_count(query_id, chunk)
 
 
 def _drive(abm, query_ids, steps=40) -> None:
@@ -155,6 +188,138 @@ class TestInterestTracker:
         abm.register(make_request(1, range(0, 4)), now=0.0)
         with pytest.raises(ValueError, match="before any query registers"):
             use_naive_bookkeeping(abm)
+
+
+class TestDSMTrackerLifecycle:
+    """Random event sequences against a DSM ABM, with the column-level
+    answers (overlap counts and unions, almost-starved columns, unrequested
+    blocks, ready times, unwanted chunks) checked against the oracle after
+    every event.  Events go through the ABM where it has an entry point and
+    straight to the pool otherwise, with a clock that only moves forward
+    (loads complete in clock order, which the ready times rely on)."""
+
+    EVENTS = (
+        "register", "register", "start", "start", "start", "complete",
+        "complete", "complete", "evict", "reload", "select", "finish",
+        "cancel", "register_unwanted",
+    )
+    COLUMN_SETS = (
+        ("key", "price"), ("price", "flag"), ("key", "ref", "date"), ("flag",),
+    )
+
+    def _random_request(self, rng, query_id, num_chunks, chunk=None):
+        first = rng.randrange(num_chunks) if chunk is None else max(0, chunk - 3)
+        last = min(num_chunks, first + rng.randint(2, 10))
+        if chunk is not None:
+            last = max(last, chunk + 1)
+        return make_request(
+            query_id, range(first, last), columns=rng.choice(self.COLUMN_SETS)
+        )
+
+    def _step(
+        self, abm, rng, event: str, now: float, next_id: int
+    ) -> Tuple[int, bool]:
+        """Apply one event if it has a valid target; returns the next free
+        query id, and whether the event applied."""
+        pool = abm.pool
+        keys = [
+            (chunk, column)
+            for chunk in range(abm.num_chunks)
+            for column in abm.layout.schema.column_names
+        ]
+        handles = abm.active_handles()
+        evictable = [block.key for block in pool.evictable_blocks()]
+        if event == "register" and len(handles) < 6:
+            abm.register(self._random_request(rng, next_id, abm.num_chunks), now)
+            return next_id + 1, True
+        if event == "register_unwanted" and abm.tracker.unwanted_chunks():
+            chunk = rng.choice(sorted(abm.tracker.unwanted_chunks()))
+            abm.register(
+                self._random_request(rng, next_id, abm.num_chunks, chunk), now
+            )
+            return next_id + 1, True
+        if event == "start":
+            # Mostly blocks some query reads, so that chunks become ready.
+            if handles and rng.random() < 0.7:
+                handle = rng.choice(handles)
+                chunk = rng.choice(sorted(handle.needed))
+                keys = [(chunk, column) for column in handle.columns]
+            started = False
+            for key in keys:
+                pages = abm.block_pages(*key)
+                if (
+                    not pool.has_block(*key)
+                    and not pool.is_loading(key)
+                    and pages <= pool.free_pages()
+                ):
+                    pool.start_load(key, pages)
+                    started = True
+            if started:
+                return next_id, True
+        elif event == "complete":
+            # One chunk's in-flight blocks, like one load operation.
+            loading = [key for key in keys if pool.is_loading(key)]
+            if loading:
+                chunk = rng.choice(loading)[0]
+                for key in loading:
+                    if key[0] == chunk:
+                        pool.complete_load(key, now)
+                return next_id, True
+        elif event == "evict" and evictable:
+            pool.evict(rng.choice(evictable))
+            return next_id, True
+        elif event == "reload" and evictable:
+            key = rng.choice(evictable)
+            pool.evict(key)
+            pool.start_load(key, abm.block_pages(*key))
+            pool.complete_load(key, now)
+            return next_id, True
+        elif event == "select":
+            idle = [h for h in handles if not h.is_processing]
+            if idle and abm.select_chunk(rng.choice(idle).query_id, now) is not None:
+                return next_id, True
+        elif event == "finish":
+            busy = [h for h in handles if h.is_processing]
+            if busy:
+                handle = rng.choice(busy)
+                abm.finish_chunk(handle.query_id, now)
+                if handle.finished:
+                    abm.unregister(handle.query_id, now)
+                return next_id, True
+        elif event == "cancel" and handles:
+            abm.cancel(rng.choice(handles).query_id, now)
+            return next_id, True
+        return next_id, False
+
+    def _replay(self, dsm_layout, seed: int, buffer_fraction: float, steps: int):
+        rng = random.Random(seed)
+        capacity = max(8, int(dsm_layout.table_pages() * buffer_fraction))
+        abm = DSMActiveBufferManager(
+            layout=dsm_layout,
+            capacity_pages=capacity,
+            policy=make_dsm_policy("relevance"),
+        )
+        next_id = 1
+        applied = set()
+        for step in range(steps):
+            event = rng.choice(self.EVENTS)
+            next_id, done = self._step(abm, rng, event, float(step), next_id)
+            if done:
+                applied.add(event)
+            _check_consistency(abm)
+        return applied
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("buffer_fraction", [0.1, 0.2, 0.45])
+    def test_random_events_match_oracle(self, dsm_layout, seed, buffer_fraction):
+        applied = self._replay(dsm_layout, seed, buffer_fraction, steps=120)
+        assert applied == set(self.EVENTS)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(2, 22))
+    @pytest.mark.parametrize("buffer_fraction", [0.1, 0.2, 0.45])
+    def test_random_events_match_oracle_slow(self, dsm_layout, seed, buffer_fraction):
+        self._replay(dsm_layout, seed, buffer_fraction, steps=300)
 
 
 class TestTrackerChoice:

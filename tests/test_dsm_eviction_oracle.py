@@ -7,7 +7,10 @@ full scan and stable sort the policies used before as an oracle.  Two
 checks pin the index to it:
 
 * random pool operation sequences, with tied and non-monotonic clock
-  values, leave the index in exactly the oracle's order after every step;
+  values, leave the index in exactly the oracle's order after every step,
+  and :meth:`~repro.bufman.slots.DSMBlockPool.evictable_blocks_of` (the
+  candidates of some chunks, gathered per chunk and sorted) in the
+  oracle's order restricted to those chunks;
 * seeded DSM runs of all four policies make the same eviction calls with
   the same victim lists, and end with the same scheduling fingerprint,
   whether the candidates come from the index or from the oracle.
@@ -38,7 +41,12 @@ from repro.sim.runner import run_simulation
 from repro.sim.setup import make_dsm_abm
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
-from tests.reference_eviction import oracle_evictable_blocks, use_oracle_eviction
+from tests.naive_relevance import use_naive_bookkeeping
+from tests.reference_eviction import (
+    oracle_evictable_blocks,
+    oracle_evictable_blocks_of,
+    use_oracle_eviction,
+)
 
 # ------------------------------------------------------ pool op sequences
 CHUNKS = (0, 1, 2, 3)
@@ -118,6 +126,13 @@ def _assert_index_matches_oracle(pool: DSMBlockPool) -> None:
         index_order = [block.key for block in pool.evictable_blocks(protect)]
         oracle_order = [block.key for block in oracle_evictable_blocks(pool, protect)]
         assert index_order == oracle_order
+        for chunks in ({0, 2}, {1, 3}, set(CHUNKS)):
+            gathered = [block.key for block in pool.evictable_blocks_of(chunks, protect)]
+            oracle_order = [
+                block.key
+                for block in oracle_evictable_blocks_of(pool, chunks, protect)
+            ]
+            assert gathered == oracle_order
 
 
 def _replay(ops) -> None:
@@ -225,14 +240,25 @@ def _record_victims(policy) -> List[Tuple[tuple, Optional[tuple]]]:
     return calls
 
 
-def _run(scenario: Scenario, policy: str, dsm_layout, small_config, oracle: bool):
+def _run(
+    scenario: Scenario,
+    policy: str,
+    dsm_layout,
+    small_config,
+    oracle: bool,
+    naive: bool = False,
+):
     """One run's outcome -- its scheduling fingerprint, or the error that
-    stopped it -- and its log of eviction calls."""
+    stopped it -- and its log of eviction calls.  ``oracle`` draws eviction
+    candidates from the scan-and-sort oracle; ``naive`` answers every
+    interest question from ``tests/naive_relevance.py``'s walks."""
     config = small_config.with_volumes(scenario.volumes)
     capacity_pages = max(8, int(dsm_layout.table_pages() * scenario.buffer_fraction))
     abm = make_dsm_abm(dsm_layout, config, policy, capacity_pages=capacity_pages)
     if oracle:
         use_oracle_eviction(abm.policy)
+    if naive:
+        use_naive_bookkeeping(abm)
     calls = _record_victims(abm.policy)
     streams = build_streams(
         _templates(),
