@@ -44,7 +44,7 @@ def _experiment():
     cpu_per_chunk = 0.3 * (
         layout.chunk_pages(0, ("A", "B", "C"))
         * config.buffer.page_bytes
-        / config.disk.effective_bandwidth
+        / config.disk.bandwidth_bytes_per_s
     )
     results = {}
     for label, column_sets in overlap_query_sets().items():

@@ -5,12 +5,13 @@ per-column *blocks of logical chunks* (DSM), together with which queries are
 still interested in them and which queries are currently consuming them.
 Those two pools are implemented here; the scheduling policies consult them
 and the simulator mutates them as loads complete and queries consume data.
+Both pools keep their eviction order in one :class:`LRUIndex`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import BufferPoolError
@@ -21,17 +22,59 @@ BlockKey = Tuple[int, str]
 
 @dataclass
 class ChunkSlot:
-    """State of one buffered NSM chunk."""
+    """State of one buffered NSM chunk; the base of :class:`BlockState`."""
 
     chunk: int
     loaded_at: float
     last_used: float
-    pin_count: int = 0
+    #: The pool's load counter at ``complete_load``: the unit's position in
+    #: load order, used to break ``last_used`` ties.
+    load_seq: int
+    pin_count: int = field(default=0, init=False)
 
     @property
     def pinned(self) -> bool:
-        """Whether some query is currently consuming this chunk."""
+        """Whether some query is currently consuming this unit."""
         return self.pin_count > 0
+
+
+class LRUIndex:
+    """The unpinned units of one pool, least recently used first.
+
+    Units are ordered by :meth:`key`, ``(last_used, load_seq)``.  A pool
+    stamps ``load_seq`` from its load counter, so ``load_seq`` is unique and
+    rises in load order, and the index order equals a stable
+    ``sort(key=last_used)`` of the buffered units taken in load order.
+    Invariant: a unit is in the index exactly when it is buffered and its
+    pin count is zero, under the key it had when its pin count last reached
+    zero.  The owning pool keeps it: ``add`` on ``complete_load`` and on
+    ``unpin`` to zero, ``remove`` on ``pin`` from zero and on ``evict``
+    (``last_used`` only changes on ``pin`` / ``unpin``).
+    """
+
+    def __init__(self) -> None:
+        self._keys: List[Tuple[float, int]] = []
+        self._units: List[ChunkSlot] = []
+
+    @staticmethod
+    def key(unit: ChunkSlot) -> Tuple[float, int]:
+        """The eviction order of a unit: older ``last_used`` first, ties in
+        load order."""
+        return (unit.last_used, unit.load_seq)
+
+    def __iter__(self) -> Iterator[ChunkSlot]:
+        return iter(self._units)
+
+    def add(self, unit: ChunkSlot) -> None:
+        key = self.key(unit)
+        position = bisect_left(self._keys, key)
+        self._keys.insert(position, key)
+        self._units.insert(position, unit)
+
+    def remove(self, unit: ChunkSlot) -> None:
+        position = bisect_left(self._keys, self.key(unit))
+        del self._keys[position]
+        del self._units[position]
 
 
 class ChunkSlotPool:
@@ -39,6 +82,7 @@ class ChunkSlotPool:
 
     Capacity accounting includes in-flight loads, so that the scheduler never
     over-commits the buffer: ``len(buffered) + len(loading) <= capacity``.
+    The unpinned slots sit in an :class:`LRUIndex`.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -47,6 +91,7 @@ class ChunkSlotPool:
         self._capacity = capacity
         self._slots: Dict[int, ChunkSlot] = {}
         self._loading: Set[int] = set()
+        self._lru = LRUIndex()
         self.loads_completed: int = 0
         self.evictions: int = 0
         #: Optional observer (the ABM's interest tracker) notified whenever a
@@ -94,9 +139,15 @@ class ChunkSlotPool:
         except KeyError as exc:
             raise BufferPoolError(f"chunk {chunk} is not buffered") from exc
 
-    def unpinned_chunks(self) -> List[int]:
-        """Buffered chunks not currently consumed by any query."""
-        return [chunk for chunk, slot in self._slots.items() if not slot.pinned]
+    def evictable_slots(self) -> Iterator[ChunkSlot]:
+        """Slots not currently consumed by any query, least recently used
+        first (ties in load order).
+
+        A lazy walk of the LRU index: a caller that stops early pays only
+        for the slots it looked at.  Do not change the pool while the walk
+        is open.
+        """
+        return iter(self._lru)
 
     # ------------------------------------------------------------- mutation
     def start_load(self, chunk: int) -> None:
@@ -115,8 +166,11 @@ class ChunkSlotPool:
         if chunk not in self._loading:
             raise BufferPoolError(f"chunk {chunk} is not being loaded")
         self._loading.discard(chunk)
-        slot = ChunkSlot(chunk=chunk, loaded_at=now, last_used=now)
+        slot = ChunkSlot(
+            chunk=chunk, loaded_at=now, last_used=now, load_seq=self.loads_completed
+        )
         self._slots[chunk] = slot
+        self._lru.add(slot)
         self.loads_completed += 1
         if self.listener is not None:
             self.listener.on_chunk_loaded(chunk)
@@ -125,6 +179,8 @@ class ChunkSlotPool:
     def pin(self, chunk: int, now: float) -> None:
         """A query starts consuming the chunk."""
         slot = self.slot(chunk)
+        if slot.pin_count == 0:
+            self._lru.remove(slot)
         slot.pin_count += 1
         slot.last_used = now
 
@@ -135,6 +191,8 @@ class ChunkSlotPool:
             raise BufferPoolError(f"chunk {chunk} pin count already zero")
         slot.pin_count -= 1
         slot.last_used = now
+        if slot.pin_count == 0:
+            self._lru.add(slot)
 
     def evict(self, chunk: int) -> None:
         """Remove an unpinned buffered chunk."""
@@ -142,34 +200,23 @@ class ChunkSlotPool:
         if slot.pinned:
             raise BufferPoolError(f"cannot evict pinned chunk {chunk}")
         del self._slots[chunk]
+        self._lru.remove(slot)
         self.evictions += 1
         if self.listener is not None:
             self.listener.on_chunk_evicted(chunk)
 
 
 @dataclass
-class BlockState:
+class BlockState(ChunkSlot):
     """State of one buffered DSM column block (one column of one chunk)."""
 
-    chunk: int
     column: str
     pages: int
-    loaded_at: float
-    last_used: float
-    #: The pool's load counter at ``complete_load``: the block's position in
-    #: load order, used to break ``last_used`` ties.
-    load_seq: int
-    pin_count: int = 0
 
     @property
     def key(self) -> BlockKey:
         """The (chunk, column) key of this block."""
         return (self.chunk, self.column)
-
-    @property
-    def pinned(self) -> bool:
-        """Whether some query is currently consuming this block."""
-        return self.pin_count > 0
 
 
 class DSMBlockPool:
@@ -180,17 +227,10 @@ class DSMBlockPool:
     by ``(chunk, column)``; pinning happens per block so a query only protects
     the columns it actually reads.
 
-    The pool keeps its unpinned blocks in an LRU index ordered by
-    ``(last_used, load_seq)``, so eviction walks candidates oldest first and
-    stops as soon as it has freed enough pages instead of sorting the whole
-    pool.  ``load_seq`` is stamped from a per-pool counter at
-    ``complete_load``, so it increases in load order and the index order
-    equals a stable ``sort(key=last_used)`` of the buffered blocks in load
-    order.
-    Invariant: a block is in the index exactly when it is buffered and its
-    pin count is zero, under the key it had when its pin count last reached
-    zero (``last_used`` only changes on ``pin`` / ``unpin``).  Blocks of
-    reserved chunks stay in the index; :meth:`evictable_blocks` skips them.
+    The unpinned blocks sit in an :class:`LRUIndex`, so eviction walks
+    candidates oldest first and stops as soon as it has freed enough pages
+    instead of sorting the whole pool.  Blocks of reserved chunks stay in
+    the index; :meth:`evictable_blocks` skips them.
     """
 
     def __init__(self, capacity_pages: int) -> None:
@@ -212,11 +252,7 @@ class DSMBlockPool:
         #: kept incrementally because ``used_pages`` sits on the hot path of
         #: every load and eviction decision.
         self._used_pages: int = 0
-        #: The LRU index of unpinned blocks: sort keys ``(last_used,
-        #: load_seq)`` and, at the same positions, the blocks themselves.
-        self._lru_keys: List[Tuple[float, int]] = []
-        self._lru_blocks: List[BlockState] = []
-        self._next_load_seq: int = 0
+        self._lru = LRUIndex()
         self.loads_completed: int = 0
         self.evictions: int = 0
         #: Optional observer (the DSM ABM's interest tracker) notified when a
@@ -285,7 +321,7 @@ class DSMBlockPool:
         is open.
         """
         reserved = self._reserved_chunks
-        for block in self._lru_blocks:
+        for block in self._lru:
             chunk = block.chunk
             if chunk not in reserved and chunk not in protect_chunks:
                 yield block
@@ -305,19 +341,8 @@ class DSMBlockPool:
             if not state.pinned
         ]
         # An unpinned block sits in the index under its current key.
-        blocks.sort(key=lambda state: (state.last_used, state.load_seq))
+        blocks.sort(key=LRUIndex.key)
         return blocks
-
-    def _index_add(self, state: BlockState) -> None:
-        entry = (state.last_used, state.load_seq)
-        position = bisect_left(self._lru_keys, entry)
-        self._lru_keys.insert(position, entry)
-        self._lru_blocks.insert(position, state)
-
-    def _index_remove(self, state: BlockState) -> None:
-        position = bisect_left(self._lru_keys, (state.last_used, state.load_seq))
-        del self._lru_keys[position]
-        del self._lru_blocks[position]
 
     # ----------------------------------------------------------- reservation
     def reserve_chunk(self, chunk: int) -> None:
@@ -368,12 +393,11 @@ class DSMBlockPool:
             pages=pages,
             loaded_at=now,
             last_used=now,
-            load_seq=self._next_load_seq,
+            load_seq=self.loads_completed,
         )
-        self._next_load_seq += 1
         self._blocks[key] = state
         self._by_chunk.setdefault(chunk, {})[column] = state
-        self._index_add(state)
+        self._lru.add(state)
         self.loads_completed += 1
         if self.listener is not None:
             self.listener.on_block_loaded(chunk, column, pages)
@@ -383,7 +407,7 @@ class DSMBlockPool:
         """A query starts consuming this block."""
         state = self.block(key)
         if state.pin_count == 0:
-            self._index_remove(state)
+            self._lru.remove(state)
         state.pin_count += 1
         state.last_used = now
 
@@ -395,7 +419,7 @@ class DSMBlockPool:
         state.pin_count -= 1
         state.last_used = now
         if state.pin_count == 0:
-            self._index_add(state)
+            self._lru.add(state)
 
     def evict(self, key: BlockKey) -> int:
         """Evict an unpinned block; returns the number of pages freed."""
@@ -407,7 +431,7 @@ class DSMBlockPool:
                 f"cannot evict block {key}: chunk {state.chunk} is reserved"
             )
         del self._blocks[key]
-        self._index_remove(state)
+        self._lru.remove(state)
         per_chunk = self._by_chunk[state.chunk]
         del per_chunk[state.column]
         if not per_chunk:

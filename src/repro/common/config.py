@@ -34,14 +34,10 @@ class DiskConfig:
     sequential_seek_s:
         Positioning cost paid when the next chunk *is* adjacent (track-to-track
         switch); usually close to zero.
-    spindles:
-        Number of spindles striped *inside* one volume.  Spindles only scale a
-        volume's effective bandwidth (the paper's 4-way RAID behaves like one
-        fast sequential device for chunk-sized requests).
     volumes:
         Number of independent volumes, each with its own head position and
-        its own ``bandwidth_bytes_per_s``.  Unlike ``spindles``, volumes serve
-        requests concurrently (one in-flight load per volume).  ``volumes=1``
+        its own ``bandwidth_bytes_per_s``.  Volumes serve requests
+        concurrently (one in-flight load per volume).  ``volumes=1``
         reproduces the classic single-disk model exactly.
     placement:
         How logical chunks map onto volumes: ``"striped"`` (chunk *i* lives on
@@ -52,7 +48,6 @@ class DiskConfig:
     bandwidth_bytes_per_s: float = 200.0 * MB
     avg_seek_s: float = 0.008
     sequential_seek_s: float = 0.001
-    spindles: int = 1
     volumes: int = 1
     placement: str = "striped"
 
@@ -61,8 +56,6 @@ class DiskConfig:
             raise ConfigurationError("disk bandwidth must be positive")
         if self.avg_seek_s < 0 or self.sequential_seek_s < 0:
             raise ConfigurationError("seek times must be non-negative")
-        if self.spindles < 1:
-            raise ConfigurationError("spindles must be >= 1")
         if self.volumes < 1:
             raise ConfigurationError("volumes must be >= 1")
         if self.placement not in VOLUME_PLACEMENTS:
@@ -76,11 +69,6 @@ class DiskConfig:
         return replace(
             self, volumes=volumes, placement=placement or self.placement
         )
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Sequential bandwidth of one volume over all its spindles (bytes/s)."""
-        return self.bandwidth_bytes_per_s * self.spindles
 
 
 @dataclass(frozen=True)
@@ -157,7 +145,7 @@ class SystemConfig:
         chunk size) from disk, including positioning cost."""
         size = self.buffer.chunk_bytes if chunk_bytes is None else chunk_bytes
         seek = self.disk.sequential_seek_s if sequential else self.disk.avg_seek_s
-        return seek + size / self.disk.effective_bandwidth
+        return seek + size / self.disk.bandwidth_bytes_per_s
 
     def with_buffer_chunks(self, capacity_chunks: int) -> "SystemConfig":
         """Return a copy of this configuration with a different buffer capacity."""
@@ -170,7 +158,7 @@ class SystemConfig:
     def describe(self) -> Dict[str, Any]:
         """Return a flat dictionary describing the configuration (for reports)."""
         return {
-            "disk_bandwidth_MBps": self.disk.effective_bandwidth / MB,
+            "disk_bandwidth_MBps": self.disk.bandwidth_bytes_per_s / MB,
             "disk_avg_seek_ms": self.disk.avg_seek_s * 1000.0,
             "disk_volumes": self.disk.volumes,
             "volume_placement": self.disk.placement,
@@ -310,14 +298,13 @@ class AdaptiveMPLConfig:
       concurrent set so the relevance policy can restore sharing;
     * p95 within target (probed every ``adjust_every``-th completion) and
       hit rate at or above ``hit_rate_floor`` — additive increase
-      (``mpl + increase_step``), converting spare latency headroom into
+      (``mpl + 1``), converting spare latency headroom into
       throughput.
     """
 
     target_p95_s: float
     min_mpl: int = 1
     max_mpl: int = 64
-    increase_step: int = 1
     decrease_factor: float = 0.5
     adjust_every: int = 4
     window: int = 32
@@ -330,8 +317,6 @@ class AdaptiveMPLConfig:
             raise ConfigurationError("min_mpl must be >= 1")
         if self.max_mpl < self.min_mpl:
             raise ConfigurationError("max_mpl must be >= min_mpl")
-        if self.increase_step < 1:
-            raise ConfigurationError("increase_step must be >= 1")
         if not 0.0 < self.decrease_factor < 1.0:
             raise ConfigurationError("decrease_factor must be in (0, 1)")
         if self.adjust_every < 1:
@@ -347,7 +332,6 @@ class AdaptiveMPLConfig:
             "target_p95_s": self.target_p95_s,
             "min_mpl": self.min_mpl,
             "max_mpl": self.max_mpl,
-            "increase_step": self.increase_step,
             "decrease_factor": self.decrease_factor,
             "adjust_every": self.adjust_every,
             "window": self.window,
@@ -944,15 +928,12 @@ class ObservabilityConfig:
     :func:`repro.service.server.run_service`,
     :func:`repro.cluster.coordinator.run_cluster_service` and
     :class:`repro.sim.lockstep.LockstepRunner`.  Omitting it (``obs=None``)
-    — or setting ``enabled=False`` — builds no recorder at all, which is the
-    zero-overhead path: simulation results are bit-for-bit identical to a
-    build without the observability layer.
+    builds no recorder at all, which is the zero-overhead path: simulation
+    results are bit-for-bit identical to a build without the observability
+    layer.
 
     Attributes
     ----------
-    enabled:
-        Master switch.  ``False`` makes the entry points behave exactly as
-        if no config had been passed (no recorder object is created).
     trace:
         Record per-event traces (query lifecycles, queue transitions,
         disk seek/transfer segments, CPU service intervals, ABM decisions).
@@ -964,26 +945,18 @@ class ObservabilityConfig:
     max_trace_events:
         Hard cap on buffered trace events; past it, events are counted as
         dropped instead of stored, bounding memory on runaway runs.
-    timeline_window_s:
-        Default window width (simulated seconds) used by the timeline
-        drill-down renderers; ``None`` picks ~12 windows over the run.
     """
 
-    enabled: bool = True
     trace: bool = True
     metrics: bool = True
     max_trace_events: int = 1_000_000
-    timeline_window_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_trace_events < 1:
             raise ConfigurationError("max_trace_events must be >= 1")
-        if self.timeline_window_s is not None and self.timeline_window_s <= 0:
-            raise ConfigurationError("timeline_window_s must be positive")
 
     def describe(self) -> Dict[str, Any]:
         return {
-            "obs_enabled": self.enabled,
             "obs_trace": self.trace,
             "obs_metrics": self.metrics,
             "obs_max_trace_events": self.max_trace_events,

@@ -14,6 +14,12 @@ only makes decisions:
 
 Hook methods (``on_register``, ``on_chunk_loaded`` ...) let policies maintain
 internal cursors (attach, elevator) without the ABM knowing about them.
+
+Eviction candidates come from the pool's LRU index
+(:class:`repro.bufman.slots.LRUIndex`), least recently used first: NSM
+policies walk ``pool.evictable_slots()`` and DSM policies
+:meth:`DSMSchedulingPolicy._evictable_blocks`, each stopping at the first
+victim that serves.
 """
 
 from __future__ import annotations
@@ -93,21 +99,6 @@ class SchedulingPolicy(_PolicyBase):
 
         Returns ``None`` when no room can be made (the load is postponed).
         """
-
-    # Shared helpers ----------------------------------------------------------
-    def _lru_victims(self, count: int = 1, exclude: Sequence[int] = ()) -> Optional[List[int]]:
-        """Pick up to ``count`` least-recently-used unpinned chunks."""
-        pool = self.abm.pool
-        excluded = set(exclude)
-        candidates = [
-            pool.slot(chunk)
-            for chunk in pool.unpinned_chunks()
-            if chunk not in excluded
-        ]
-        if len(candidates) < count:
-            return None
-        candidates.sort(key=lambda slot: slot.last_used)
-        return [slot.chunk for slot in candidates[:count]]
 
 
 class DSMSchedulingPolicy(_PolicyBase):

@@ -76,15 +76,10 @@ class ElevatorPolicy(SchedulingPolicy):
     def choose_evictions(
         self, trigger_query: int, incoming_chunk: int, now: float
     ) -> Optional[List[int]]:
-        pool = self.abm.pool
-        candidates = [
-            pool.slot(chunk)
-            for chunk in pool.unpinned_chunks()
-            if self.abm.interested_count(chunk) == 0
-        ]
-        if not candidates:
-            # Every buffered chunk is still needed by some query; the cursor
-            # stalls until the slowest interested query catches up.
-            return None
-        candidates.sort(key=lambda slot: slot.last_used)
-        return [candidates[0].chunk]
+        abm = self.abm
+        for slot in abm.pool.evictable_slots():
+            if abm.interested_count(slot.chunk) == 0:
+                return [slot.chunk]
+        # Every buffered chunk is still needed by some query; the cursor
+        # stalls until the slowest interested query catches up.
+        return None

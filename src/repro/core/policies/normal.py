@@ -139,7 +139,8 @@ class SequentialCursorPolicy(SchedulingPolicy):
     def choose_evictions(
         self, trigger_query: int, incoming_chunk: int, now: float
     ) -> Optional[List[int]]:
-        return self._lru_victims(count=1)
+        slot = next(self.abm.pool.evictable_slots(), None)
+        return None if slot is None else [slot.chunk]
 
 
 class NormalPolicy(SequentialCursorPolicy):

@@ -239,10 +239,11 @@ class RelevancePolicy(SchedulingPolicy):
         return int((scores == best).argmax())
 
     def _vector_evictions(self, tracker, trigger: CScanHandle) -> Optional[List[int]]:
-        unpinned = self.abm.pool.unpinned_chunks()
-        if not unpinned:
+        chunks = _np.fromiter(
+            (slot.chunk for slot in self.abm.pool.evictable_slots()), dtype=_np.int64
+        )
+        if chunks.size == 0:
             return None
-        chunks = _np.fromiter(unpinned, dtype=_np.int64, count=len(unpinned))
         eligible = ~tracker.needed_mask(trigger.query_id)[chunks]
         qmax = self.parameters.qmax
         for protect_starved in (True, False):
@@ -332,9 +333,9 @@ class RelevancePolicy(SchedulingPolicy):
         # least relevant one still beats idling the disk.
         for protect_starved in (True, False):
             candidates = [
-                chunk
-                for chunk in pool.unpinned_chunks()
-                if eligible(chunk, protect_starved)
+                slot.chunk
+                for slot in pool.evictable_slots()
+                if eligible(slot.chunk, protect_starved)
             ]
             if candidates:
                 victim = min(candidates, key=lambda chunk: (self.keep_relevance(chunk), chunk))

@@ -68,7 +68,7 @@ class DiskModel:
             if self.is_sequential(request.chunk)
             else self.config.avg_seek_s
         )
-        return seek, request.num_bytes / self.config.effective_bandwidth
+        return seek, request.num_bytes / self.config.bandwidth_bytes_per_s
 
     def serve(self, request: IORequest) -> float:
         """Serve a request: update statistics and return its service time."""

@@ -85,16 +85,14 @@ def render_run_timelines(
     One row per time window, one column per recorded series (queue depths,
     MPL, volume utilisation, hit rate, starvation count), each cell the
     time-weighted mean (and peak) over the window — enough to localise an
-    SLO violation to a window and component.  Respects the
-    ``timeline_window_s`` knob of the recorder's config.
+    SLO violation to a window and component.  ``window_s=None`` picks
+    ~12 windows over the run.
     """
     if flight.metrics is None:
         return "(metrics recording was disabled)"
     series = {
         name: flight.metrics.series(name) for name in flight.metrics.names()
     }
-    if window_s is None:
-        window_s = flight.config.timeline_window_s
     return render_timeline(series, window_s=window_s, t_end=t_end, title=title)
 
 

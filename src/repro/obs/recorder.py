@@ -153,18 +153,16 @@ ObservabilityLike = Union[ObservabilityConfig, FlightRecorder, None]
 def build_flight_recorder(obs: ObservabilityLike) -> Optional[FlightRecorder]:
     """Normalise the ``obs`` argument of the run entry points.
 
-    ``None`` (or a disabled config) yields ``None`` — the zero-overhead
-    path.  A config builds a fresh recorder; an existing
-    :class:`FlightRecorder` is passed through so one recorder can span
-    multiple runs (the cluster path shares one across shards).
+    ``None`` yields ``None`` — the zero-overhead path.  A config builds a
+    fresh recorder; an existing :class:`FlightRecorder` is passed through
+    so one recorder can span multiple runs (the cluster path shares one
+    across shards).
     """
     if obs is None:
         return None
     if isinstance(obs, FlightRecorder):
         return obs
     if isinstance(obs, ObservabilityConfig):
-        if not obs.enabled:
-            return None
         return FlightRecorder(obs)
     raise TypeError(
         f"obs must be ObservabilityConfig, FlightRecorder or None, "

@@ -170,10 +170,7 @@ class AdaptiveMPLController(MPLController):
             return
         self._since_increase = 0
         if hit_rate >= self.config.hit_rate_floor:
-            self._apply(
-                min(self.config.max_mpl, self._mpl + self.config.increase_step),
-                now,
-            )
+            self._apply(min(self.config.max_mpl, self._mpl + 1), now)
 
     def _apply(self, proposed: int, now: float) -> None:
         if proposed != self._mpl:

@@ -164,10 +164,9 @@ class ScanSimulator:
         #: One in-flight load operation per busy volume.
         self._inflight: Dict[int, AnyLoadOp] = {}
         #: Completion time of each busy volume's in-flight operation.
+        #: An entry exists exactly while its volume is busy, so the map
+        #: holds at most one entry per volume and a linear min is cheap.
         self._disk_done: Dict[int, float] = {}
-        #: Min-heap of ``(done_time, volume)`` disk completions, mirroring
-        #: ``_disk_done`` (entries are validated against it on peek).
-        self._disk_heap: List[Tuple[float, int]] = []
         #: Issued operations waiting for their (busy) volume, per volume.
         self._pending_io: Dict[int, Deque[AnyLoadOp]] = {}
         self._query_results: List[QueryResult] = []
@@ -383,27 +382,10 @@ class ScanSimulator:
             heap[:] = [entry for entry in heap if self._cpu_entry_valid(entry)]
             heapq.heapify(heap)
 
-    def _maybe_compact_disk_heap(self) -> None:
-        """Disk-heap twin of :meth:`_maybe_compact_cpu_heap` (entries go
-        stale when a volume's completion is superseded)."""
-        heap = self._disk_heap
-        if len(heap) > 32 and len(heap) > 2 * len(self._disk_done):
-            heap[:] = [
-                entry
-                for entry in heap
-                if self._disk_done.get(entry[1]) == entry[0]
-            ]
-            heapq.heapify(heap)
-
     def _next_disk_time(self) -> Optional[float]:
         """Completion time of the earliest in-flight disk operation."""
-        heap = self._disk_heap
-        while heap:
-            done, volume = heap[0]
-            if self._disk_done.get(volume) == done:
-                return done
-            heapq.heappop(heap)
-        return None
+        disk_done = self._disk_done
+        return min(disk_done.values()) if disk_done else None
 
     def _next_event_time(self) -> Optional[float]:
         candidates: List[float] = []
@@ -433,18 +415,8 @@ class ScanSimulator:
         self._now = next_time
 
     def _process_disk_completion(self) -> None:
-        due: List[int] = []
-        heap = self._disk_heap
-        while heap:
-            done, volume = heap[0]
-            if self._disk_done.get(volume) != done:
-                heapq.heappop(heap)
-                continue
-            if done > self._now + _EPS:
-                break
-            heapq.heappop(heap)
-            due.append(volume)
-        # Volume order, matching the naive sorted() walk over the done map.
+        horizon = self._now + _EPS
+        due = [volume for volume, done in self._disk_done.items() if done <= horizon]
         due.sort()
         breakdowns = self._breakdowns
         for volume in due:
@@ -592,8 +564,6 @@ class ScanSimulator:
         self._inflight[volume] = operation
         done = self._now + duration
         self._disk_done[volume] = done
-        heapq.heappush(self._disk_heap, (done, volume))
-        self._maybe_compact_disk_heap()
 
     def _start_query(self, admitted: AdmittedQuery) -> None:
         spec = admitted.spec

@@ -122,7 +122,7 @@ def dsm_query_families(
     against the I/O time of each query's *own column set* — reproducing the
     paper's use of a "faster slow query" in the DSM experiment (Section 6.3).
     """
-    page_time = config.buffer.page_bytes / config.disk.effective_bandwidth
+    page_time = config.buffer.page_bytes / config.disk.bandwidth_bytes_per_s
 
     def column_io(columns: Tuple[str, ...]) -> float:
         pages = sum(layout.average_pages_per_chunk(column) for column in columns)

@@ -1,15 +1,22 @@
-"""Reference oracle for DSM eviction candidates: scan the pool and sort.
+"""Reference oracles for eviction candidates: scan the pool and sort.
 
-:class:`repro.bufman.slots.DSMBlockPool` keeps its unpinned blocks in an
-LRU index ordered by ``(last_used, load_seq)`` and the DSM policies walk it
-through :meth:`DSMSchedulingPolicy._evictable_blocks`, stopping as soon as
-enough pages are freed.  :func:`oracle_evictable_blocks` answers the same
-question the obvious way -- a walk over every buffered block, in the
-order their loads completed, and a stable sort by ``last_used`` -- so it
-is correct by inspection.
-:func:`oracle_evictable_blocks_of` restricts it to some chunks, the
-oracle of :meth:`DSMBlockPool.evictable_blocks_of`.
-:func:`use_oracle_eviction` swaps both into a policy object; the eviction
+Both buffer pools of :mod:`repro.bufman.slots` keep their unpinned units in
+an :class:`~repro.bufman.slots.LRUIndex` ordered by ``(last_used,
+load_seq)``.  The NSM policies walk it through
+:meth:`ChunkSlotPool.evictable_slots` and the DSM policies through
+:meth:`DSMSchedulingPolicy._evictable_blocks`, each stopping at the first
+victim that serves.  The oracles here answer the same question the obvious
+way -- a walk over every buffered unit, in the order their loads
+completed, and a stable sort by ``last_used`` -- so they are correct by
+inspection:
+
+* :func:`oracle_evictable_slots` is the NSM scan the policies made before
+  the index;
+* :func:`oracle_evictable_blocks` is the DSM one, and
+  :func:`oracle_evictable_blocks_of` restricts it to some chunks, the
+  oracle of :meth:`DSMBlockPool.evictable_blocks_of`.
+
+:func:`use_oracle_eviction` swaps them in under a policy; the eviction
 oracle tests then compare victim lists and scheduling fingerprints.
 
 This module imports nothing from pytest or ``tests/conftest.py``.
@@ -19,7 +26,16 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from repro.bufman.slots import BlockState, DSMBlockPool
+from repro.bufman.slots import BlockState, ChunkSlot, ChunkSlotPool, DSMBlockPool
+
+
+def oracle_evictable_slots(pool: ChunkSlotPool) -> List[ChunkSlot]:
+    """All unpinned slots, least recently used first, ties in load order
+    (the pool's slot dict keeps chunks in the order their loads
+    completed)."""
+    candidates = [slot for slot in pool._slots.values() if not slot.pinned]
+    candidates.sort(key=lambda slot: slot.last_used)
+    return candidates
 
 
 def oracle_evictable_blocks(
@@ -53,11 +69,17 @@ def oracle_evictable_blocks_of(
 
 
 def use_oracle_eviction(policy):
-    """Make a DSM ``policy`` draw its eviction candidates from
-    :func:`oracle_evictable_blocks` instead of the pool's indexes.
+    """Make a bound ``policy`` draw its eviction candidates from the
+    oracles instead of the pool's indexes: an NSM policy from
+    :func:`oracle_evictable_slots` (swapped in on its pool, where the NSM
+    policies read it), a DSM policy from :func:`oracle_evictable_blocks`.
 
     Returns ``policy`` for chaining.
     """
+    pool = policy.abm.pool
+    if isinstance(pool, ChunkSlotPool):
+        pool.evictable_slots = lambda: iter(oracle_evictable_slots(pool))
+        return policy
 
     def evictable_blocks(protect_chunks: Sequence[int] = ()):
         return iter(oracle_evictable_blocks(policy.abm.pool, protect_chunks))

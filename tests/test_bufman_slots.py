@@ -53,13 +53,22 @@ class TestChunkSlotPool:
         with pytest.raises(BufferPoolError):
             pool.unpin(0, now=0.0)
 
-    def test_unpinned_chunks(self):
-        pool = ChunkSlotPool(capacity=3)
-        for chunk in range(3):
+    def test_evictable_slots_in_lru_order(self):
+        """Unpinned slots only, least recently used first, ties in load
+        order -- also for a slot pinned and unpinned at the tied time."""
+        pool = ChunkSlotPool(capacity=4)
+        for chunk in (3, 0, 2, 1):
             pool.start_load(chunk)
-            pool.complete_load(chunk, now=float(chunk))
+            pool.complete_load(chunk, now=1.0)
         pool.pin(1, now=5.0)
-        assert sorted(pool.unpinned_chunks()) == [0, 2]
+        pool.pin(3, now=1.0)
+        pool.unpin(3, now=1.0)
+        pool.pin(0, now=0.5)
+        pool.unpin(0, now=0.5)
+        assert [slot.chunk for slot in pool.evictable_slots()] == [0, 3, 2]
+        pool.unpin(1, now=6.0)
+        pool.evict(3)
+        assert [slot.chunk for slot in pool.evictable_slots()] == [0, 2, 1]
 
     def test_last_used_updates_on_pin_unpin(self):
         pool = ChunkSlotPool(capacity=1)

@@ -20,10 +20,6 @@ from repro.common.units import MB
 
 
 class TestDiskConfig:
-    def test_effective_bandwidth_scales_with_spindles(self):
-        disk = DiskConfig(bandwidth_bytes_per_s=100 * MB, spindles=4)
-        assert disk.effective_bandwidth == 400 * MB
-
     def test_rejects_negative_bandwidth(self):
         with pytest.raises(ConfigurationError):
             DiskConfig(bandwidth_bytes_per_s=-1)
@@ -31,15 +27,6 @@ class TestDiskConfig:
     def test_rejects_negative_seek(self):
         with pytest.raises(ConfigurationError):
             DiskConfig(avg_seek_s=-0.001)
-
-    def test_rejects_zero_spindles(self):
-        with pytest.raises(ConfigurationError):
-            DiskConfig(spindles=0)
-
-    def test_effective_bandwidth_ignores_volume_count(self):
-        disk = DiskConfig(bandwidth_bytes_per_s=100 * MB, spindles=2, volumes=4)
-        # Spindles scale one volume's bandwidth; the volume count does not.
-        assert disk.effective_bandwidth == 200 * MB
 
     def test_rejects_bad_volume_parameters(self):
         with pytest.raises(ConfigurationError):

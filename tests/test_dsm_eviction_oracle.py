@@ -1,19 +1,24 @@
-"""The DSM pool's LRU eviction index against its scan-and-sort oracle.
+"""The buffer pools' shared LRU index against its scan-and-sort oracles.
 
-:class:`repro.bufman.slots.DSMBlockPool` keeps its unpinned blocks ordered
-by ``(last_used, load_seq)``, and the DSM policies walk that index and stop
-once enough pages are freed.  ``tests/reference_eviction.py`` keeps the
-full scan and stable sort the policies used before as an oracle.  Two
-checks pin the index to it:
+:class:`repro.bufman.slots.ChunkSlotPool` and
+:class:`repro.bufman.slots.DSMBlockPool` keep their unpinned units in one
+:class:`~repro.bufman.slots.LRUIndex` ordered by ``(last_used,
+load_seq)``, and the policies walk it and stop at the first victim that
+serves.  ``tests/reference_eviction.py`` keeps the full scans and stable
+sorts the policies used before as oracles.  Two checks pin the index to
+them:
 
-* random pool operation sequences, with tied and non-monotonic clock
-  values, leave the index in exactly the oracle's order after every step,
-  and :meth:`~repro.bufman.slots.DSMBlockPool.evictable_blocks_of` (the
-  candidates of some chunks, gathered per chunk and sorted) in the
+* random pool operation sequences on either pool, with tied and
+  non-monotonic clock values, leave the index in exactly the oracle's
+  order after every step; for DSM also
+  :meth:`~repro.bufman.slots.DSMBlockPool.evictable_blocks_of` (the
+  candidates of some chunks, gathered per chunk and sorted), in the
   oracle's order restricted to those chunks;
-* seeded DSM runs of all four policies make the same eviction calls with
-  the same victim lists, and end with the same scheduling fingerprint,
-  whether the candidates come from the index or from the oracle.
+* seeded runs -- DSM with all four policies, NSM with normal, attach,
+  elevator and relevance on both the dict and the numpy tracker -- make
+  the same eviction calls with the same victim lists, and end with the
+  same scheduling fingerprint, whether the candidates come from the index
+  or from the oracle.
 
 At the smallest buffer drawn (10% of the table, 12 pages) some relevance
 runs end in a simulation deadlock, with or without the index: reserved
@@ -34,17 +39,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bufman.slots import DSMBlockPool
+from repro.bufman.slots import ChunkSlotPool, DSMBlockPool
 from repro.common.errors import BufferPoolError, SimulationError
 from repro.sim.results import scheduling_fingerprint
 from repro.sim.runner import run_simulation
-from repro.sim.setup import make_dsm_abm
+from repro.sim.setup import make_dsm_abm, make_nsm_abm
 from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
-from tests.naive_relevance import use_naive_bookkeeping
+from tests.naive_relevance import (
+    use_naive_bookkeeping,
+    use_scalar_tracker,
+    use_vector_tracker,
+)
 from tests.reference_eviction import (
     oracle_evictable_blocks,
     oracle_evictable_blocks_of,
+    oracle_evictable_slots,
     use_oracle_eviction,
 )
 
@@ -135,26 +145,79 @@ def _assert_index_matches_oracle(pool: DSMBlockPool) -> None:
             assert gathered == oracle_order
 
 
-def _replay(ops) -> None:
-    pool = DSMBlockPool(capacity_pages=24)
+def _apply_nsm(pool: ChunkSlotPool, op: str, index: int, now: float) -> None:
+    """:func:`_apply` for the NSM pool, which has no reservations (those
+    operations are no-ops)."""
+    buffered = [chunk for chunk in CHUNKS if chunk in pool]
+    if op == "start":
+        chunk = _pick(
+            [
+                chunk
+                for chunk in CHUNKS
+                if chunk not in pool and not pool.is_loading(chunk)
+            ],
+            index,
+        )
+        if chunk is not None and pool.has_free_slot():
+            pool.start_load(chunk)
+    elif op == "complete":
+        chunk = _pick([chunk for chunk in CHUNKS if pool.is_loading(chunk)], index)
+        if chunk is not None:
+            pool.complete_load(chunk, now)
+    elif op == "pin":
+        chunk = _pick(buffered, index)
+        if chunk is not None:
+            pool.pin(chunk, now)
+    elif op == "unpin":
+        chunk = _pick([chunk for chunk in buffered if pool.slot(chunk).pinned], index)
+        if chunk is not None:
+            pool.unpin(chunk, now)
+    elif op == "evict":
+        chunk = _pick(
+            [chunk for chunk in buffered if not pool.slot(chunk).pinned], index
+        )
+        if chunk is not None:
+            pool.evict(chunk)
+
+
+def _assert_nsm_index_matches_oracle(pool: ChunkSlotPool) -> None:
+    assert [slot.chunk for slot in pool.evictable_slots()] == [
+        slot.chunk for slot in oracle_evictable_slots(pool)
+    ]
+
+
+#: Per pool kind: a fresh pool, the operation applier and the check.
+POOLS = {
+    "dsm": (lambda: DSMBlockPool(capacity_pages=24), _apply,
+            _assert_index_matches_oracle),
+    "nsm": (lambda: ChunkSlotPool(capacity=3), _apply_nsm,
+            _assert_nsm_index_matches_oracle),
+}
+
+
+def _replay(kind: str, ops) -> None:
+    make_pool, apply, check = POOLS[kind]
+    pool = make_pool()
     for op, index, now in ops:
-        _apply(pool, op, index, now)
-        _assert_index_matches_oracle(pool)
+        apply(pool, op, index, now)
+        check(pool)
 
 
+@pytest.mark.parametrize("kind", sorted(POOLS))
 @settings(max_examples=150, deadline=None)
-@given(op_sequences)
-def test_index_order_matches_oracle(ops):
-    _replay(ops)
+@given(ops=op_sequences)
+def test_index_order_matches_oracle(kind, ops):
+    _replay(kind, ops)
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("kind", sorted(POOLS))
 @settings(
     max_examples=3000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-@given(op_sequences)
-def test_index_order_matches_oracle_many_examples(ops):
-    _replay(ops)
+@given(ops=op_sequences)
+def test_index_order_matches_oracle_many_examples(kind, ops):
+    _replay(kind, ops)
 
 
 def test_ties_break_in_load_order_not_key_order():
@@ -259,10 +322,15 @@ def _run(
         use_oracle_eviction(abm.policy)
     if naive:
         use_naive_bookkeeping(abm)
+    return _simulate(abm, _templates(), dsm_layout, scenario, config)
+
+
+def _simulate(abm, templates, layout, scenario: Scenario, config):
+    """Run the scenario's streams on ``abm``, logging its eviction calls."""
     calls = _record_victims(abm.policy)
     streams = build_streams(
-        _templates(),
-        dsm_layout,
+        templates,
+        layout,
         scenario.streams,
         scenario.queries_per_stream,
         seed=scenario.seed,
@@ -316,3 +384,74 @@ def test_index_and_oracle_make_identical_evictions_slow(
     seed, dsm_layout, small_config
 ):
     _assert_equivalent(seed, dsm_layout, small_config)
+
+
+# ------------------------------------------------------- seeded NSM runs
+#: NSM policy variants: policy name and the tracker it is pinned to
+#: (``None`` keeps the one the ABM picks).
+NSM_VARIANTS = {
+    "normal": ("normal", None),
+    "attach": ("attach", None),
+    "elevator": ("elevator", None),
+    "relevance-dict": ("relevance", use_scalar_tracker),
+    "relevance-numpy": ("relevance", use_vector_tracker),
+}
+
+
+def _nsm_templates():
+    fast = QueryFamily("F", cpu_per_chunk=0.002)
+    slow = QueryFamily("S", cpu_per_chunk=0.02)
+    return [
+        QueryTemplate(fast, 10),
+        QueryTemplate(fast, 50),
+        QueryTemplate(slow, 100),
+    ]
+
+
+def _run_nsm(
+    scenario: Scenario, variant: str, nsm_layout, small_config, oracle: bool
+):
+    """:func:`_run` for an NSM variant, buffer sized in chunks."""
+    policy, pin_tracker = NSM_VARIANTS[variant]
+    config = small_config.with_volumes(scenario.volumes)
+    capacity = max(2, int(nsm_layout.num_chunks * scenario.buffer_fraction))
+    abm = make_nsm_abm(nsm_layout, config, policy, capacity_chunks=capacity)
+    if pin_tracker is not None:
+        pin_tracker(abm)
+    if oracle:
+        use_oracle_eviction(abm.policy)
+    return _simulate(abm, _nsm_templates(), nsm_layout, scenario, config)
+
+
+def _assert_nsm_equivalent(seed: int, nsm_layout, small_config) -> List[list]:
+    """Assert index and oracle agree for every variant; returns each
+    variant's eviction calls."""
+    scenario = draw(seed)
+    logs = []
+    for variant in NSM_VARIANTS:
+        expected, oracle_calls = _run_nsm(
+            scenario, variant, nsm_layout, small_config, oracle=True
+        )
+        actual, index_calls = _run_nsm(
+            scenario, variant, nsm_layout, small_config, oracle=False
+        )
+        assert index_calls == oracle_calls, (scenario, variant)
+        assert actual == expected, (scenario, variant)
+        logs.append(index_calls)
+    return logs
+
+
+@pytest.mark.parametrize("seed", TIER1_SEEDS)
+def test_nsm_index_and_oracle_make_identical_evictions(
+    seed, nsm_layout, small_config
+):
+    logs = _assert_nsm_equivalent(seed, nsm_layout, small_config)
+    assert all(logs), "every NSM variant must evict on the tier-1 seeds"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", SLOW_SEEDS)
+def test_nsm_index_and_oracle_make_identical_evictions_slow(
+    seed, nsm_layout, small_config
+):
+    _assert_nsm_equivalent(seed, nsm_layout, small_config)

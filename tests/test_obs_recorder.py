@@ -124,9 +124,6 @@ class TestBuildFlightRecorder:
     def test_none_is_none(self):
         assert build_flight_recorder(None) is None
 
-    def test_disabled_config_is_none(self):
-        assert build_flight_recorder(ObservabilityConfig(enabled=False)) is None
-
     def test_config_builds_fresh_recorder(self):
         config = ObservabilityConfig(max_trace_events=7)
         flight = build_flight_recorder(config)

@@ -67,11 +67,11 @@ class TestTracingChangesNothing:
         )
         assert plain.slo.as_dict() == traced.slo.as_dict()
 
-    def test_disabled_config_builds_no_recorder(
+    def test_no_config_builds_no_recorder(
         self, templates, nsm_layout, small_config
     ):
         result = _run(nsm_layout, small_config, templates, "relevance",
-                      obs=ObservabilityConfig(enabled=False))
+                      obs=None)
         assert result.obs is None
 
 

@@ -222,7 +222,7 @@ class TestDSMTraceTimings:
         expected_busy = (
             disk.avg_seek_s
             + (num_blocks - 1) * disk.sequential_seek_s
-            + total_bytes / disk.effective_bandwidth
+            + total_bytes / disk.bandwidth_bytes_per_s
         )
         busy = result.disk_utilisation * result.total_time
         assert busy == pytest.approx(expected_busy, rel=1e-9)
