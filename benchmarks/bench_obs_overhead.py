@@ -136,22 +136,28 @@ def _one_run(config, arrivals, cluster, shard_abms, obs):
 def _timed_pair(config, arrivals, cluster, shard_abms):
     """``SAMPLES`` wall-clock samples of the untraced and traced runs.
 
-    The two variants are *interleaved* (untraced, traced, untraced, ...) so
-    a slow patch on the host machine — frequency scaling, a background
-    task — degrades both sides rather than skewing the ratio.  Every sample
-    is deterministic, so returning the last result of each is fine.
+    The two variants are *interleaved* in pairs, alternating which side
+    runs first, so a slow patch on the host machine — frequency scaling, a
+    background task — degrades both sides rather than skewing the ratio,
+    and neither side always inherits the other's leftover state.  Every
+    sample is deterministic, so returning the last result of each is fine.
     """
     untraced_times, traced_times = [], []
     untraced = traced = None
-    for _ in range(SAMPLES):
-        elapsed, untraced = _one_run(
-            config, arrivals, cluster, shard_abms, obs=None
-        )
-        untraced_times.append(elapsed)
-        elapsed, traced = _one_run(
-            config, arrivals, cluster, shard_abms, obs=ObservabilityConfig()
-        )
-        traced_times.append(elapsed)
+    for index in range(SAMPLES):
+        order = (False, True) if index % 2 == 0 else (True, False)
+        for tracing in order:
+            if tracing:
+                elapsed, traced = _one_run(
+                    config, arrivals, cluster, shard_abms,
+                    obs=ObservabilityConfig(),
+                )
+                traced_times.append(elapsed)
+            else:
+                elapsed, untraced = _one_run(
+                    config, arrivals, cluster, shard_abms, obs=None
+                )
+                untraced_times.append(elapsed)
     return untraced_times, untraced, traced_times, traced
 
 

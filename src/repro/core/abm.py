@@ -94,11 +94,18 @@ class _BaseABM:
 
     # -------------------------------------------------------- observability
     def attach_observability(self, flight, process: str = "service") -> None:
-        """Emit load/evict/attach and starvation-flip events into ``flight``."""
+        """Emit load/evict/attach and starvation-flip events into ``flight``.
+
+        From here on the tracker notes every query whose starved flag
+        flips, and the ABM re-checks just those after each eviction and
+        load completion.  Every registered query starts noted, so a
+        recorder attached mid-run catches up on the states it missed.
+        """
         self._obs = flight
         self._obs_pid = process
         self._obs_starved_gauge = f"{process}.abm.starved_queries"
         self._obs_hit_gauge = f"{process}.abm.hit_rate"
+        self.tracker.starved_flips = set(self._handles)
 
     def _obs_starvation_update(self, handle: CScanHandle, now: float) -> None:
         """Emit an event when this handle's starvation state flipped."""
@@ -117,10 +124,17 @@ class _BaseABM:
             self._obs_starved_gauge, now, self._obs_starved_count
         )
 
-    def _obs_starvation_sweep(self, now: float) -> None:
-        """Re-check every registered handle (availability just changed)."""
-        for handle in self._handles.values():
-            self._obs_starvation_update(handle, now)
+    def _obs_starvation_flips(self, now: float) -> None:
+        """Re-check the handles whose starved flag flipped since the last
+        call (availability just changed), in registration order.
+
+        Only a flag flip or a finish (re-checked where it happens) changes
+        what :meth:`_obs_starvation_update` computes, so this emits the
+        flips a re-check of every registered handle would, in its order.
+        """
+        handles = self._handles
+        for query_id in self.tracker.take_starved_flips():
+            self._obs_starvation_update(handles[query_id], now)
 
     def _obs_forget(self, query_id: int, now: float) -> None:
         if self._obs_starved.pop(query_id, False):
@@ -418,7 +432,7 @@ class ActiveBufferManager(_BaseABM):
                     "abm.evict", "abm", now, self._obs_pid, "abm",
                     victims=list(evicted), for_chunk=chunk,
                 )
-                self._obs_starvation_sweep(now)
+                self._obs_starvation_flips(now)
             self._obs.instant(
                 "abm.load.issue", "abm", now, self._obs_pid, "abm",
                 chunk=chunk, query=query_id,
@@ -449,7 +463,7 @@ class ActiveBufferManager(_BaseABM):
                 chunk=operation.chunk, query=operation.triggered_by,
                 woken=len(woken),
             )
-            self._obs_starvation_sweep(now)
+            self._obs_starvation_flips(now)
         return woken
 
 
@@ -644,7 +658,7 @@ class DSMActiveBufferManager(_BaseABM):
                     victims=[list(victim) for victim in evicted],
                     for_chunk=chunk,
                 )
-                self._obs_starvation_sweep(now)
+                self._obs_starvation_flips(now)
             self._obs.instant(
                 "abm.load.issue", "abm", now, self._obs_pid, "abm",
                 chunk=chunk, query=query_id,
@@ -678,5 +692,5 @@ class DSMActiveBufferManager(_BaseABM):
                 chunk=operation.chunk, query=operation.triggered_by,
                 woken=len(woken),
             )
-            self._obs_starvation_sweep(now)
+            self._obs_starvation_flips(now)
         return woken

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -102,6 +102,11 @@ class _InterestBase:
     """Interest sets, registration order and starvation flags shared by the
     NSM and DSM trackers; subclasses supply availability maintenance and
     the per-chunk counters the flags feed."""
+
+    #: Ids whose starved flag flipped since the owner last took them
+    #: (:meth:`take_starved_flips`).  The ABM installs a set here only
+    #: while a flight recorder is attached; ``None`` notes nothing.
+    starved_flips: Optional[Set[int]] = None
 
     def __init__(self, starvation_threshold: int, almost_starved_threshold: int) -> None:
         self._starve_below = starvation_threshold
@@ -147,6 +152,17 @@ class _InterestBase:
     def starved_ids_ordered(self) -> List[int]:
         """Ids of the starved queries, in registration order."""
         return sorted(self._starved_ids, key=self._seq.__getitem__)
+
+    def take_starved_flips(self) -> List[int]:
+        """The still-registered ids of :attr:`starved_flips`, in
+        registration order; empties the set."""
+        flipped = self.starved_flips
+        if not flipped:
+            return []
+        seq = self._seq
+        ids = sorted((qid for qid in flipped if qid in seq), key=seq.__getitem__)
+        flipped.clear()
+        return ids
 
     # ----------------------------------------------------------- lifecycle
     def _register_common(self, handle: "CScanHandle", available: Set[int]) -> None:
@@ -210,6 +226,8 @@ class _InterestBase:
                 self._starved_ids.add(qid)
             else:
                 self._starved_ids.discard(qid)
+            if self.starved_flips is not None:
+                self.starved_flips.add(qid)
         if almost_delta:
             self._almost_flag[qid] = almost
         self._shift_counts(handle, starved_delta, almost_delta)

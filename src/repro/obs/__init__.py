@@ -10,7 +10,8 @@ recorder exists and simulation outcomes are bit-for-bit identical to the
 uninstrumented code.
 
 * :mod:`repro.obs.events` / :mod:`repro.obs.recorder` -- typed trace events
-  on the simulated clock, buffered by the :class:`FlightRecorder`;
+  on the simulated clock, buffered by the :class:`FlightRecorder` as one
+  compact row per event and built as :class:`TraceEvent` records when read;
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms sampled on the
   shared clock (queue depth, MPL, volume utilisation, hit rate, ...);
 * :mod:`repro.obs.export` -- JSONL and Perfetto-loadable Chrome trace-event

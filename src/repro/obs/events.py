@@ -1,8 +1,9 @@
 """Typed trace events of the flight recorder.
 
 One simulation run produces a stream of :class:`TraceEvent` records on the
-*simulated* clock.  The vocabulary follows the Chrome trace-event format
-(so the exporters in :mod:`repro.obs.export` are a direct mapping):
+*simulated* clock (stored compactly by the recorder, built when read).
+The vocabulary follows the Chrome trace-event format (so the exporters in
+:mod:`repro.obs.export` are a direct mapping):
 
 * ``ph="X"`` — a *complete* span: something that occupied a track for
   ``dur`` seconds (a disk seek, a transfer, a CPU service interval);
@@ -47,11 +48,11 @@ CAT_ABM = "abm"
 class TraceEvent:
     """One flight-recorder event on the simulated clock.
 
-    A hand-rolled slotted class rather than a dataclass: events are
-    constructed on the simulator's hot path (one per disk span, chunk
-    delivery, queue transition...), and ``__slots__`` plus a plain
-    ``__init__`` keep the per-event cost a fraction of a frozen dataclass's.
-    Treat instances as immutable.
+    The simulator's hot path does not build these: the recorder stores
+    each event as a compact row (:class:`~repro.obs.recorder.TraceRecorder`)
+    and builds the records only when its events are read, for the
+    exporters and for analysis.  A hand-rolled slotted class rather than a
+    dataclass keeps that rebuild cheap.  Treat instances as immutable.
 
     Attributes
     ----------

@@ -41,10 +41,8 @@ _EventSource = Union[FlightRecorder, TraceRecorder, Iterable[TraceEvent]]
 
 
 def _events_of(source: _EventSource) -> List[TraceEvent]:
-    if isinstance(source, FlightRecorder):
-        return list(source.events)
-    if isinstance(source, TraceRecorder):
-        return list(source.events)
+    if isinstance(source, (FlightRecorder, TraceRecorder)):
+        return source.events  # a fresh list on every read
     return list(source)
 
 

@@ -1,13 +1,15 @@
 """The flight recorder: bounded trace buffer + metrics registry.
 
-:class:`TraceRecorder` is an append-only, bounded buffer of
-:class:`~repro.obs.events.TraceEvent` records.  :class:`FlightRecorder`
-bundles a trace recorder with a :class:`~repro.obs.metrics.MetricsRegistry`
-and is the single handle threaded through the stack: the front door,
-admission controller, cluster coordinator, event core, disk models and ABMs
-all hold an ``Optional[FlightRecorder]`` and guard every emission with a
-``None`` check, so a disabled recorder costs one attribute test per
-potential event and changes no simulation state whatsoever.
+:class:`TraceRecorder` is an append-only, bounded buffer of trace events,
+stored as one compact row per event and turned into
+:class:`~repro.obs.events.TraceEvent` records only when they are read.
+:class:`FlightRecorder` bundles a trace recorder with a
+:class:`~repro.obs.metrics.MetricsRegistry` and is the single handle
+threaded through the stack: the front door, admission controller, cluster
+coordinator, event core, disk models and ABMs all hold an
+``Optional[FlightRecorder]`` and guard every emission with a ``None``
+check, so a disabled recorder costs one attribute test per potential event
+and changes no simulation state whatsoever.
 
 The recorder does not time itself.  Its wall-clock cost is measured from
 outside: ``benchmarks/bench_obs_overhead.py`` compares a traced run with its
@@ -17,7 +19,7 @@ untraced twin, and ``python -m benchmarks.e2e --trace 1`` reports the
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.common.config import ObservabilityConfig
 from repro.obs.events import (
@@ -33,23 +35,53 @@ from repro.obs.metrics import MetricsRegistry
 class TraceRecorder:
     """Bounded, append-only buffer of trace events.
 
+    Each event is stored as one tuple row ``(kind, ts, dur, id, *arg
+    values)``, where ``kind`` is the interned ``(name, cat, ph, pid, tid,
+    arg names)`` tuple shared by every event of the same call shape.  A
+    row of atomic values costs a fraction of a :class:`TraceEvent` plus
+    its ``args`` dict, and the garbage collector stops tracking it; the
+    :attr:`events` property rebuilds the records, ``args`` in the order
+    the emitter passed them.
+
     Events past ``max_events`` are counted in :attr:`dropped` instead of
     stored, so a runaway run degrades to a truncated trace rather than
     unbounded memory growth.
     """
 
-    __slots__ = ("events", "max_events", "dropped")
+    __slots__ = ("_rows", "_kinds", "max_events", "dropped")
 
     def __init__(self, max_events: int = 1_000_000) -> None:
-        self.events: List[TraceEvent] = []
+        self._rows: List[tuple] = []
+        self._kinds: Dict[tuple, tuple] = {}
         self.max_events = max_events
         self.dropped = 0
 
-    def emit(self, event: TraceEvent) -> None:
-        if len(self.events) < self.max_events:
-            self.events.append(event)
-        else:
+    def record(self, name: str, cat: str, ph: str, ts: float, pid: str,
+               tid: str, dur: float, id: Optional[int],
+               args: Dict[str, object]) -> None:
+        """Append one event (or count it as dropped at the cap)."""
+        rows = self._rows
+        if len(rows) >= self.max_events:
             self.dropped += 1
+            return
+        shape = (name, cat, ph, pid, tid, tuple(args))
+        kind = self._kinds.setdefault(shape, shape)
+        rows.append((kind, ts, dur, id, *args.values()))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The recorded events in emission order, built on each read."""
+        events = []
+        for row in self._rows:
+            name, cat, ph, pid, tid, names = row[0]
+            events.append(TraceEvent(
+                name, cat, ph, row[1], pid, tid, row[2], row[3],
+                dict(zip(names, row[4:])),
+            ))
+        return events
 
 
 class FlightRecorder:
@@ -58,7 +90,8 @@ class FlightRecorder:
     Built from an :class:`~repro.common.config.ObservabilityConfig`; either
     half (tracing, metrics) can be switched off independently, in which case
     the corresponding attribute is ``None`` and the emitters below become
-    no-ops.  Each emitter is one ``None`` check plus one emission.
+    no-ops.  Each trace emitter is one ``None`` check plus one
+    :meth:`TraceRecorder.record` row.
     """
 
     __slots__ = ("config", "trace", "metrics")
@@ -80,31 +113,28 @@ class FlightRecorder:
         trace = self.trace
         if trace is None:
             return
-        trace.emit(TraceEvent(name, cat, PH_INSTANT, ts, pid, tid, args=args))
+        trace.record(name, cat, PH_INSTANT, ts, pid, tid, 0.0, None, args)
 
     def complete(self, name: str, cat: str, ts: float, dur: float, pid: str,
                  tid: str, **args: object) -> None:
         trace = self.trace
         if trace is None:
             return
-        trace.emit(TraceEvent(name, cat, PH_COMPLETE, ts, pid, tid,
-                              dur=dur, args=args))
+        trace.record(name, cat, PH_COMPLETE, ts, pid, tid, dur, None, args)
 
     def async_begin(self, name: str, cat: str, ts: float, id: int, pid: str,
                     tid: str, **args: object) -> None:
         trace = self.trace
         if trace is None:
             return
-        trace.emit(TraceEvent(name, cat, PH_ASYNC_BEGIN, ts, pid, tid,
-                              id=id, args=args))
+        trace.record(name, cat, PH_ASYNC_BEGIN, ts, pid, tid, 0.0, id, args)
 
     def async_end(self, name: str, cat: str, ts: float, id: int, pid: str,
                   tid: str, **args: object) -> None:
         trace = self.trace
         if trace is None:
             return
-        trace.emit(TraceEvent(name, cat, PH_ASYNC_END, ts, pid, tid,
-                              id=id, args=args))
+        trace.record(name, cat, PH_ASYNC_END, ts, pid, tid, 0.0, id, args)
 
     # -- metric emitters (no-ops when metrics are off) -------------------
 
@@ -130,14 +160,15 @@ class FlightRecorder:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """All recorded trace events (empty when tracing is off)."""
+        """All recorded trace events, built on each read (empty when
+        tracing is off)."""
         return [] if self.trace is None else self.trace.events
 
     def summary_lines(self) -> List[str]:
         """Human-readable one-liners about what the recorder captured."""
         lines = []
         if self.trace is not None:
-            detail = f"{len(self.trace.events)} trace events"
+            detail = f"{len(self.trace)} trace events"
             if self.trace.dropped:
                 detail += f" ({self.trace.dropped} dropped at cap)"
             lines.append(detail)

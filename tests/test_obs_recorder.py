@@ -48,15 +48,16 @@ class TestTraceEvent:
 class TestTraceRecorder:
     def test_appends_in_emission_order(self):
         recorder = TraceRecorder()
-        recorder.emit(TraceEvent("b", "cat", PH_INSTANT, 1.0, "p", "t"))
-        recorder.emit(TraceEvent("a", "cat", PH_INSTANT, 0.5, "p", "t"))
+        recorder.record("b", "cat", PH_INSTANT, 1.0, "p", "t", 0.0, None, {})
+        recorder.record("a", "cat", PH_INSTANT, 0.5, "p", "t", 0.0, None, {})
         assert [event.name for event in recorder.events] == ["b", "a"]
+        assert len(recorder) == 2
 
     def test_caps_events_and_counts_dropped(self):
         recorder = TraceRecorder(max_events=3)
         for index in range(5):
-            recorder.emit(TraceEvent(f"e{index}", "cat", PH_INSTANT,
-                                     float(index), "p", "t"))
+            recorder.record(f"e{index}", "cat", PH_INSTANT, float(index),
+                            "p", "t", 0.0, None, {})
         assert recorder.dropped == 2
         assert [event.name for event in recorder.events] == ["e0", "e1", "e2"]
 
