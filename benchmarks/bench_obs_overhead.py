@@ -183,11 +183,13 @@ def _experiment():
         f"{SAMPLES} pairs (budget {OVERHEAD_BUDGET}x); pair ratios {spread(ratios)}"
     )
 
-    payload = chrome_trace(traced.obs)
+    # ``traced.obs.events`` builds a fresh TraceEvent list on every read:
+    # read it once and export that list.
+    events = traced.obs.events
+    payload = chrome_trace(events, traced.obs.metrics)
+    jsonl = to_jsonl(events)
     num_records = validate_chrome_trace(payload)
-    assert read_jsonl(to_jsonl(traced.obs)) == traced.obs.events, (
-        "JSONL export did not round-trip"
-    )
+    assert read_jsonl(jsonl) == events, "JSONL export did not round-trip"
     row = {
         "samples": SAMPLES,
         "untraced_s": spread(untraced_times),
@@ -195,11 +197,11 @@ def _experiment():
         "pair_ratios": spread(ratios),
         "overhead_ratio": round(ratio, 4),
         "budget": OVERHEAD_BUDGET,
-        "trace_events": len(traced.obs.events),
+        "trace_events": len(events),
         "chrome_records": num_records,
         "metric_series": len(traced.obs.metrics.names()),
     }
-    return row, traced
+    return row, payload, jsonl
 
 
 def _report(row) -> None:
@@ -222,7 +224,7 @@ def _report(row) -> None:
 def section():
     """Run, report and gate the experiment; returns its ``BENCH_core`` section
     and both trace exports."""
-    row, traced = _experiment()
+    row, payload, jsonl = _experiment()
     _report(row)
     return {
         "workload": {
@@ -233,8 +235,8 @@ def section():
         },
         "rows": [row],
         "files": {
-            "obs_trace.json": json.dumps(chrome_trace(traced.obs)),
-            "obs_trace.jsonl": to_jsonl(traced.obs),
+            "obs_trace.json": json.dumps(payload),
+            "obs_trace.jsonl": jsonl,
         },
     }
 

@@ -10,8 +10,10 @@ run's fingerprint is bit-for-bit identical to the untraced one.
 
 This example traces a small 2-shard cluster, proves that equivalence,
 writes the trace as Chrome trace-event JSON (drag it into
-https://ui.perfetto.dev) and JSONL, loads the JSONL back, and prints the
-windowed metric timelines and the shards' scheduling cost.
+https://ui.perfetto.dev) and JSONL into a temporary directory, loads the
+JSONL back, and prints the windowed metric timelines and the shards'
+scheduling cost.  The temporary directory is removed before ``main()``
+returns; call ``write_chrome_trace`` on a path of your own to keep a trace.
 
 Run with::
 
@@ -111,17 +113,18 @@ def main():
     for line in flight.summary_lines():
         print(f"  {line}")
 
-    # 2. Export: Chrome trace JSON (Perfetto-loadable) and JSONL.
-    out_dir = tempfile.mkdtemp(prefix="repro_trace_")
-    chrome_path = os.path.join(out_dir, "cluster_trace.json")
-    payload = write_chrome_trace(flight, chrome_path)
-    print(f"\nwrote {chrome_path} "
-          f"({validate_chrome_trace(payload)} records; open in Perfetto)")
-    jsonl_path = os.path.join(out_dir, "cluster_trace.jsonl")
-    write_jsonl(flight, jsonl_path)
+    # 2. Export: Chrome trace JSON (Perfetto-loadable) and JSONL, into a
+    # temporary directory that is removed once the trace has been re-read.
+    with tempfile.TemporaryDirectory(prefix="repro_trace_") as out_dir:
+        chrome_path = os.path.join(out_dir, "cluster_trace.json")
+        payload = write_chrome_trace(flight, chrome_path)
+        print(f"\nwrote {chrome_path} "
+              f"({validate_chrome_trace(payload)} records, Perfetto-loadable)")
+        jsonl_path = os.path.join(out_dir, "cluster_trace.jsonl")
+        write_jsonl(flight, jsonl_path)
 
-    # 3. Load the JSONL trace back and poke at it.
-    events = read_jsonl(jsonl_path, from_path=True)
+        # 3. Load the JSONL trace back and poke at it.
+        events = read_jsonl(jsonl_path, from_path=True)
     assert events == flight.events
     gathers = [event for event in events if event.name == "cluster.gather"]
     print(f"re-read {len(events)} events from {jsonl_path}")

@@ -112,9 +112,10 @@ class ChunkSlotPool:
         """Chunks currently fully loaded."""
         return list(self._slots)
 
-    def is_loading(self, chunk: int) -> bool:
-        """Whether the chunk is currently being loaded."""
-        return chunk in self._loading
+    def occupies_slot(self, chunk: int) -> bool:
+        """Whether the chunk holds a slot: buffered or in flight (so a load
+        of it must not be issued)."""
+        return chunk in self._slots or chunk in self._loading
 
     def loading_chunks(self) -> List[int]:
         """Chunks currently in flight."""
@@ -152,7 +153,7 @@ class ChunkSlotPool:
     # ------------------------------------------------------------- mutation
     def start_load(self, chunk: int) -> None:
         """Reserve a slot for an in-flight load."""
-        if chunk in self._slots or chunk in self._loading:
+        if self.occupies_slot(chunk):
             raise BufferPoolError(f"chunk {chunk} is already buffered or loading")
         if not self.has_free_slot():
             raise BufferPoolError("no free slot: evict before starting a load")

@@ -409,7 +409,7 @@ class ActiveBufferManager(_BaseABM):
         if decision is None:
             return None
         query_id, chunk = decision
-        if chunk in self.pool or self.pool.is_loading(chunk):
+        if self.pool.occupies_slot(chunk):
             raise SchedulingError(
                 f"policy {self.policy.name} chose chunk {chunk} which is already "
                 "buffered or being loaded"

@@ -37,6 +37,15 @@ Maintained aggregates:
     The starved queries in registration order — the candidate list of
     ``chooseQueryToProcess``.
 
+``unwanted_chunks()``
+    Buffered chunks (DSM: chunks with a buffered block) that no registered
+    query needs, the elevator's only eviction candidates while a scan can
+    progress: changed when a chunk's last interested query leaves it, when
+    a query registers for it, and when it loads (DSM: its first block) or
+    is evicted (DSM: its last block).  The set follows the pool's hooks
+    from its first load on, so a tracker must listen to an empty pool (the
+    ABMs create both together).
+
 DSM only (:class:`DSMInterestTracker`), for the per-column questions of
 Figure 11 and Section 6.2:
 
@@ -64,12 +73,6 @@ Figure 11 and Section 6.2:
     When each ready chunk became ready, for the elevator's delivery order:
     set by the load that completes the chunk for the query, dropped by an
     eviction that breaks it.
-
-``unwanted_chunks()``
-    Chunks with a buffered block and no interested query, the elevator's
-    only eviction candidates while a scan can progress: changed when a
-    chunk's last interested query leaves it, when a query registers for it,
-    and when its first block loads or its last is evicted.
 
 A query's starvation state only changes when its available count crosses the
 policy threshold, so the per-chunk starved counters are updated lazily: a
@@ -127,6 +130,8 @@ class _InterestBase:
         self._starved_flag: Dict[int, bool] = {}
         self._almost_flag: Dict[int, bool] = {}
         self._starved_ids: Set[int] = set()
+        #: Buffered chunks no registered query needs.
+        self._unwanted: Set[int] = set()
 
     # ------------------------------------------------------------- queries
     def interested_ids(self, chunk: int) -> List[int]:
@@ -152,6 +157,11 @@ class _InterestBase:
     def starved_ids_ordered(self) -> List[int]:
         """Ids of the starved queries, in registration order."""
         return sorted(self._starved_ids, key=self._seq.__getitem__)
+
+    def unwanted_chunks(self) -> Set[int]:
+        """Buffered chunks (DSM: chunks with a buffered block) that no
+        registered query needs (do not mutate)."""
+        return self._unwanted
 
     def take_starved_flips(self) -> List[int]:
         """The still-registered ids of :attr:`starved_flips`, in
@@ -275,26 +285,63 @@ class InterestTracker(_InterestBase):
 
     def on_chunk_loaded(self, chunk: int) -> None:
         """A chunk finished loading: it becomes available to every
-        interested query."""
-        for qid in self._interest.get(chunk, ()):
+        interested query, or unwanted when there is none."""
+        ids = self._interest.get(chunk)
+        if ids is None:
+            self._unwanted.add(chunk)
+            return
+        for qid in ids:
             self._avail[qid].add(chunk)
-            self._refresh_flags(self._handles[qid])
+        self._refresh_crossed(ids)
 
     def on_chunk_evicted(self, chunk: int) -> None:
-        """A chunk was evicted: it stops being available."""
-        for qid in self._interest.get(chunk, ()):
+        """A chunk was evicted: it stops being available (or unwanted)."""
+        ids = self._interest.get(chunk)
+        if ids is None:
+            self._unwanted.discard(chunk)
+            return
+        for qid in ids:
             self._avail[qid].discard(chunk)
-            self._refresh_flags(self._handles[qid])
+        self._refresh_crossed(ids)
+
+    def _refresh_crossed(self, ids: Mapping[int, None]) -> None:
+        """:meth:`_refresh_flags` for those of the queries whose available
+        count crossed a threshold; the flags of the others still hold."""
+        avail = self._avail
+        starved_flag = self._starved_flag
+        almost_flag = self._almost_flag
+        starve_below = self._starve_below
+        almost_at = self._almost_at
+        for qid in ids:
+            count = len(avail[qid])
+            if (count < starve_below) != starved_flag[qid] or (
+                count <= almost_at
+            ) != almost_flag[qid]:
+                self._refresh_flags(self._handles[qid])
 
     # ------------------------------------------------------------ internals
     def _index_interest(self, handle: "CScanHandle", starved: bool, almost: bool) -> None:
-        qid = handle.query_id
-        for chunk in handle.needed:
-            self._interest.setdefault(chunk, {})[qid] = None
-            if starved:
+        self._index_interested_ids(handle)
+        if starved:
+            for chunk in handle.needed:
                 self._bump(self._starved_interest, chunk, 1)
-            if almost:
+        if almost:
+            for chunk in handle.needed:
                 self._bump(self._almost_interest, chunk, 1)
+
+    def _index_interested_ids(self, handle: "CScanHandle") -> None:
+        """Add the query to the interested ids of each chunk it needs; a
+        chunk that gains its first interested query stops being unwanted."""
+        qid = handle.query_id
+        interest = self._interest
+        unwanted = self._unwanted
+        for chunk in handle.needed:
+            ids = interest.get(chunk)
+            if ids is None:
+                interest[chunk] = {qid: None}
+                unwanted.discard(chunk)
+            else:
+                ids[qid] = None
 
     @staticmethod
     def _bump(counter: Dict[int, int], chunk: int, delta: int) -> None:
@@ -305,15 +352,22 @@ class InterestTracker(_InterestBase):
             counter.pop(chunk, None)
 
     def _drop_interest(self, qid: int, chunk: int) -> None:
+        self._drop_interested_id(qid, chunk)
+        if self._starved_flag[qid]:
+            self._bump(self._starved_interest, chunk, -1)
+        if self._almost_flag[qid]:
+            self._bump(self._almost_interest, chunk, -1)
+
+    def _drop_interested_id(self, qid: int, chunk: int) -> None:
+        """Remove the query from the chunk's interested ids; the chunk
+        becomes unwanted when it is buffered and that was the last one."""
         ids = self._interest.get(chunk)
         if ids is not None:
             ids.pop(qid, None)
             if not ids:
                 del self._interest[chunk]
-        if self._starved_flag[qid]:
-            self._bump(self._starved_interest, chunk, -1)
-        if self._almost_flag[qid]:
-            self._bump(self._almost_interest, chunk, -1)
+                if chunk in self._pool:
+                    self._unwanted.add(chunk)
 
     def _shift_counts(
         self, handle: "CScanHandle", starved_delta: int, almost_delta: int
@@ -351,11 +405,8 @@ class DSMInterestTracker(_InterestBase):
     over a handful of sets instead of one over the interested queries.
     They are the DSM tracker's per-chunk starvation counters.
 
-    Finally it keeps the set of chunks that have a buffered block but no
-    interested query: the only chunks whose blocks the elevator may evict
-    while the scan can still progress.  The set follows the pool's hooks
-    from its first load on, so the tracker must listen to an empty pool
-    (the DSM ABM creates both together).
+    Its unwanted chunks (:meth:`_InterestBase.unwanted_chunks`) are the
+    chunks that have a buffered block but no interested query.
     """
 
     def __init__(
@@ -382,8 +433,6 @@ class DSMInterestTracker(_InterestBase):
         self._column_sets: Dict[int, Dict[FrozenSet[str], List[int]]] = {}
         #: chunk -> union of the column sets of its interested queries.
         self._union: Dict[int, FrozenSet[str]] = {}
-        #: Chunks with a buffered block and no interested query.
-        self._unwanted: Set[int] = set()
 
     # ------------------------------------------------------------- queries
     def cached_pages(self, query_id: int, chunk: int) -> int:
@@ -399,10 +448,6 @@ class DSMInterestTracker(_InterestBase):
         """Ready chunk -> time it became ready, for the query's available
         chunks (do not mutate)."""
         return self._ready_at[query_id]
-
-    def unwanted_chunks(self) -> Set[int]:
-        """Chunks with a buffered block that no query needs (do not mutate)."""
-        return self._unwanted
 
     def interested_columns(self, chunk: int) -> FrozenSet[str]:
         """Union of the columns of the chunk's interested queries."""
@@ -687,9 +732,7 @@ class VectorInterestTracker(InterestTracker):
 
     def _index_interest(self, handle: "CScanHandle", starved: bool, almost: bool) -> None:
         qid = handle.query_id
-        interest = self._interest
-        for chunk in handle.needed:
-            interest.setdefault(chunk, {})[qid] = None
+        self._index_interested_ids(handle)
         needed = _np.fromiter(
             handle.needed, dtype=_np.int64, count=len(handle.needed)
         )
@@ -707,11 +750,7 @@ class VectorInterestTracker(InterestTracker):
         self._needed_masks.pop(handle.query_id, None)
 
     def _drop_interest(self, qid: int, chunk: int) -> None:
-        ids = self._interest.get(chunk)
-        if ids is not None:
-            ids.pop(qid, None)
-            if not ids:
-                del self._interest[chunk]
+        self._drop_interested_id(qid, chunk)
         self._needed_masks[qid][chunk] = False
         self._interest_arr[chunk] -= 1
         if self._starved_flag[qid]:

@@ -12,12 +12,18 @@ Eviction only considers chunks that no active query needs any more; if the
 buffer fills up with chunks some slow query has not consumed yet, the cursor
 stalls (the "query speed degenerates to the speed of the slowest query"
 behaviour described in Section 3).
+
+Both decisions read state the ABM's interest tracker already keeps: a query
+is delivered the earliest-loaded of its available chunks (needed and
+buffered), and the eviction victim is the least recently used unpinned
+chunk among the tracker's unwanted ones (buffered, needed by nobody).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.bufman.slots import LRUIndex
 from repro.core.cscan import CScanHandle
 from repro.core.policies.base import SchedulingPolicy
 
@@ -37,12 +43,12 @@ class ElevatorPolicy(SchedulingPolicy):
 
     # ------------------------------------------------------------- delivery
     def select_chunk_to_consume(self, handle: CScanHandle, now: float) -> Optional[int]:
-        pool = self.abm.pool
-        candidates = [chunk for chunk in handle.needed if chunk in pool]
-        if not candidates:
+        available = self.abm.tracker.available_chunks(handle.query_id)
+        if not available:
             return None
         # Deliver in the order the global cursor loaded the chunks.
-        return min(candidates, key=lambda chunk: (pool.slot(chunk).loaded_at, chunk))
+        slot = self.abm.pool.slot
+        return min((slot(chunk).loaded_at, chunk) for chunk in available)[1]
 
     # ----------------------------------------------------------------- loads
     def choose_load(self, now: float) -> Optional[Tuple[int, int]]:
@@ -54,7 +60,7 @@ class ElevatorPolicy(SchedulingPolicy):
             return None
         for offset in range(num_chunks):
             chunk = (self._cursor + offset) % num_chunks
-            if chunk in pool or pool.is_loading(chunk):
+            if pool.occupies_slot(chunk):
                 continue
             interested = abm.interested_handles(chunk)
             if not interested:
@@ -77,9 +83,17 @@ class ElevatorPolicy(SchedulingPolicy):
         self, trigger_query: int, incoming_chunk: int, now: float
     ) -> Optional[List[int]]:
         abm = self.abm
-        for slot in abm.pool.evictable_slots():
-            if abm.interested_count(slot.chunk) == 0:
-                return [slot.chunk]
-        # Every buffered chunk is still needed by some query; the cursor
-        # stalls until the slowest interested query catches up.
-        return None
+        victim = min(
+            (
+                slot
+                for slot in map(abm.pool.slot, abm.tracker.unwanted_chunks())
+                if not slot.pinned
+            ),
+            key=LRUIndex.key,
+            default=None,
+        )
+        if victim is None:
+            # Every buffered chunk is still needed by some query; the cursor
+            # stalls until the slowest interested query catches up.
+            return None
+        return [victim.chunk]

@@ -89,51 +89,55 @@ class SequentialCursorPolicy(SchedulingPolicy):
         return chunk
 
     # ----------------------------------------------------------------- loads
-    def _wanted_chunk(self, handle: CScanHandle) -> Optional[int]:
-        """The chunk this query wants loaded next (demand or one-ahead prefetch)."""
-        pool = self.abm.pool
-        candidate = self._cursor_chunk(handle)
-        if candidate is None:
-            return None
-        if candidate in pool or pool.is_loading(candidate):
-            if not self._prefetch:
-                return None
-            # Demand chunk already present/in flight; consider prefetching one
-            # chunk ahead so processing overlaps with I/O.
-            candidate = self._chunk_after_cursor(handle)
-            if candidate is None or candidate in pool or pool.is_loading(candidate):
-                return None
-        return candidate
-
     def choose_load(self, now: float) -> Optional[Tuple[int, int]]:
-        blocked: List[Tuple[float, int, int]] = []
-        prefetch: List[Tuple[float, int, int]] = []
+        # First-come-first-served among blocked queries, then prefetches:
+        # one pass keeps each bucket's least (queued_at, query_id, chunk),
+        # the head a sort would give, since query ids are unique.
+        occupied = self.abm.pool.occupies_slot
+        prefetch = self._prefetch
+        last_service = self._last_service
+        cursor_chunk = self._cursor_chunk
+        best_blocked: Optional[Tuple[float, int, int]] = None
+        best_prefetch: Optional[Tuple[float, int, int]] = None
         for handle in self.abm.active_handles():
             if handle.finished:
                 continue
-            if handle.is_processing and not self._prefetch:
+            if not prefetch and handle.is_processing:
                 # Synchronous scans only issue I/O once they actually block.
                 continue
-            wanted = self._wanted_chunk(handle)
+            wanted = cursor_chunk(handle)
             if wanted is None:
                 continue
-            queued_at = max(
-                handle.blocked_since or 0.0,
-                handle.last_delivery_time,
-                self._last_service.get(handle.query_id, 0.0),
+            if occupied(wanted):
+                if not prefetch:
+                    continue
+                # Demand chunk already present/in flight; consider prefetching
+                # one chunk ahead so processing overlaps with I/O.
+                wanted = self._chunk_after_cursor(handle)
+                if wanted is None or occupied(wanted):
+                    continue
+            query_id = handle.query_id
+            blocked_since = handle.blocked_since
+            entry = (
+                max(
+                    blocked_since or 0.0,
+                    handle.last_delivery_time,
+                    last_service.get(query_id, 0.0),
+                ),
+                query_id,
+                wanted,
             )
-            if handle.is_blocked:
-                blocked.append((queued_at, handle.query_id, wanted))
-            else:
-                prefetch.append((queued_at, handle.query_id, wanted))
-        # First-come-first-served among blocked queries, then prefetches.
-        for bucket in (blocked, prefetch):
-            if bucket:
-                bucket.sort()
-                _, query_id, chunk = bucket[0]
-                self._last_service[query_id] = now
-                return query_id, chunk
-        return None
+            if blocked_since is not None:
+                if best_blocked is None or entry < best_blocked:
+                    best_blocked = entry
+            elif best_prefetch is None or entry < best_prefetch:
+                best_prefetch = entry
+        best = best_blocked or best_prefetch
+        if best is None:
+            return None
+        _, query_id, chunk = best
+        last_service[query_id] = now
+        return query_id, chunk
 
     # -------------------------------------------------------------- eviction
     def choose_evictions(

@@ -300,7 +300,7 @@ class RelevancePolicy(SchedulingPolicy):
         best_chunk: Optional[int] = None
         best_score = -math.inf
         for chunk in handle.needed:
-            if chunk in pool or pool.is_loading(chunk):
+            if pool.occupies_slot(chunk):
                 continue
             score = self.load_relevance(chunk)
             if score > best_score or (score == best_score and best_chunk is not None and chunk < best_chunk):

@@ -118,6 +118,11 @@ class ScanSimulator:
             # hold at least one pending query).
             raise SimulationError("query source is empty or already consumed")
         self._config = config
+        #: ``config.cpu.cores``, read once for the busy-core accounting.
+        self._cores = config.cpu.cores
+        #: ``config.cpu.rate_per_query(n)`` by running-query count ``n``,
+        #: filled on first use: the event core reads the rate on every step.
+        self._rates: Dict[int, float] = {}
         self._abm = abm
         self._volume_layout = VolumeLayout.from_disk_config(
             config.disk, abm.num_chunks
@@ -167,7 +172,8 @@ class ScanSimulator:
         #: An entry exists exactly while its volume is busy, so the map
         #: holds at most one entry per volume and a linear min is cheap.
         self._disk_done: Dict[int, float] = {}
-        #: Issued operations waiting for their (busy) volume, per volume.
+        #: Issued operations waiting for their (busy) volume, per volume;
+        #: only volumes with a waiting operation have an entry.
         self._pending_io: Dict[int, Deque[AnyLoadOp]] = {}
         self._query_results: List[QueryResult] = []
         self._started = 0
@@ -382,46 +388,54 @@ class ScanSimulator:
             heap[:] = [entry for entry in heap if self._cpu_entry_valid(entry)]
             heapq.heapify(heap)
 
-    def _next_disk_time(self) -> Optional[float]:
-        """Completion time of the earliest in-flight disk operation."""
-        disk_done = self._disk_done
-        return min(disk_done.values()) if disk_done else None
-
     def _next_event_time(self) -> Optional[float]:
-        candidates: List[float] = []
-        arrival = self._source.next_event_time()
-        if arrival is not None:
-            candidates.append(arrival)
-        disk = self._next_disk_time()
-        if disk is not None:
-            candidates.append(disk)
-        if self._running:
+        """The earliest of the next arrival, the earliest in-flight disk
+        completion and the earliest CPU completion (``None`` if none)."""
+        best = self._source.next_event_time()
+        disk_done = self._disk_done
+        if disk_done:
+            disk = min(disk_done.values())
+            if best is None or disk < best:
+                best = disk
+        running = len(self._running)
+        if running:
             target = self._next_cpu_target()
             if target is not None:
-                rate = self._config.cpu.rate_per_query(len(self._running))
-                candidates.append(
-                    self._now + max(0.0, target - self._vtime) / rate
-                )
-        if not candidates:
-            return None
-        return min(candidates)
+                rate = self._rates.get(running) or self._rate_of(running)
+                cpu = self._now + max(0.0, target - self._vtime) / rate
+                if best is None or cpu < best:
+                    best = cpu
+        return best
 
     def _advance_to(self, next_time: float) -> None:
         dt = max(0.0, next_time - self._now)
-        if dt > 0 and self._running:
-            rate = self._config.cpu.rate_per_query(len(self._running))
-            self._vtime += dt * rate
-            self._cpu_busy_area += min(len(self._running), self._config.cpu.cores) * dt
+        if dt > 0:
+            running = len(self._running)
+            if running:
+                rate = self._rates.get(running) or self._rate_of(running)
+                self._vtime += dt * rate
+                self._cpu_busy_area += min(running, self._cores) * dt
         self._now = next_time
 
+    def _rate_of(self, running: int) -> float:
+        """The per-query CPU rate with ``running`` (>= 1) queries on the
+        cores, memoized in ``_rates`` (never 0, so ``get(...) or`` works)."""
+        rate = self._rates[running] = self._config.cpu.rate_per_query(running)
+        return rate
+
     def _process_disk_completion(self) -> None:
+        disk_done = self._disk_done
+        if not disk_done:
+            return
         horizon = self._now + _EPS
-        due = [volume for volume, done in self._disk_done.items() if done <= horizon]
+        due = [volume for volume, done in disk_done.items() if done <= horizon]
+        if not due:
+            return
         due.sort()
         breakdowns = self._breakdowns
         for volume in due:
             operation = self._inflight.pop(volume)
-            del self._disk_done[volume]
+            del disk_done[volume]
             seek_share = 0.0
             if breakdowns:
                 seek, transfer = self._io_segments.pop(volume, (0.0, 0.0))
@@ -469,7 +483,7 @@ class ScanSimulator:
                             run.stall_seek_s += stall_seek
                             run.stall_transfer_s += stall - stall_seek
                     self._dispatch(query_id)
-        if due and breakdowns:
+        if breakdowns:
             self._disk_busy_points.append((self._now, self._disk_busy_s))
 
     def _process_cpu_completions(self) -> None:
@@ -499,11 +513,16 @@ class ScanSimulator:
 
     # -------------------------------------------------------------- plumbing
     def _kick_disk(self) -> None:
-        # Volumes freed by a completion first pick up their queued operations.
-        for volume in sorted(self._pending_io):
-            queue = self._pending_io[volume]
-            if queue and volume not in self._inflight:
-                self._begin_io(volume, queue.popleft())
+        # Volumes freed by a completion first pick up their queued operations
+        # (a volume's queue leaves the map when it empties).
+        pending = self._pending_io
+        if pending:
+            for volume in sorted(pending):
+                if volume not in self._inflight:
+                    queue = pending[volume]
+                    self._begin_io(volume, queue.popleft())
+                    if not queue:
+                        del pending[volume]
         # Then pull fresh loads from the ABM while any volume head is idle,
         # so a decision stream that happens to target one busy volume cannot
         # starve the others.  Operations for a busy volume queue at that

@@ -2,7 +2,7 @@
 
 Every relevance aggregate the ABMs serve (interested queries per chunk,
 starved and almost-starved interested counts, available chunks per query,
-DSM cached pages) is maintained incrementally by the interest trackers in
+unwanted buffered chunks, DSM cached pages) is maintained incrementally by the interest trackers in
 :mod:`repro.core.interest`.  :class:`NaiveTracker` answers the same
 queries with the obvious O(queries x chunks) walks over the ABM's
 registered handles and its buffer pool, keeping no state of its own, so it
@@ -115,10 +115,11 @@ class NaiveTracker:
         }
 
     def unwanted_chunks(self) -> Set[int]:
-        """Chunks with a buffered block that no registered query needs."""
-        return {
-            chunk for chunk in self._abm.pool._by_chunk if not self.interested_ids(chunk)
-        }
+        """Buffered chunks (DSM: chunks with a buffered block) that no
+        registered query needs."""
+        pool = self._abm.pool
+        buffered = pool._by_chunk if self._dsm else pool.buffered_chunks()
+        return {chunk for chunk in buffered if not self.interested_ids(chunk)}
 
     def _interested_handles(self, chunk: int):
         return [self._abm.handle(query_id) for query_id in self.interested_ids(chunk)]
@@ -162,9 +163,12 @@ class NaiveTracker:
         return len(almost), self._union(almost)
 
 
-def _swap_tracker(abm, tracker, listener, helper: str):
+def _swap_tracker(abm, tracker, listener, helper: str, empty_pool: bool = False):
     if abm.active_handles():
         raise ValueError(f"{helper} must run before any query registers")
+    if empty_pool and abm.pool.in_use():
+        # A tracker learns the unwanted chunks from the pool's load hooks.
+        raise ValueError(f"{helper} must run before any chunk loads")
     abm.tracker = tracker
     abm.pool.listener = listener
     return abm
@@ -181,18 +185,20 @@ def use_naive_bookkeeping(abm):
 def use_scalar_tracker(abm):
     """Pin an NSM ABM to the dict-counter :class:`InterestTracker`.
 
-    Must run before any query registers.  Returns ``abm`` for chaining.
+    Must run before any query registers or chunk loads.  Returns ``abm``
+    for chaining.
     """
     tracker = InterestTracker(
         abm.pool, abm.starvation_threshold, abm.almost_starved_threshold
     )
-    return _swap_tracker(abm, tracker, tracker, "use_scalar_tracker")
+    return _swap_tracker(abm, tracker, tracker, "use_scalar_tracker", empty_pool=True)
 
 
 def use_vector_tracker(abm):
     """Pin an NSM ABM to the numpy-counter :class:`VectorInterestTracker`.
 
-    Must run before any query registers.  Returns ``abm`` for chaining.
+    Must run before any query registers or chunk loads.  Returns ``abm``
+    for chaining.
     """
     tracker = VectorInterestTracker(
         abm.pool,
@@ -200,4 +206,4 @@ def use_vector_tracker(abm):
         abm.almost_starved_threshold,
         abm.num_chunks,
     )
-    return _swap_tracker(abm, tracker, tracker, "use_vector_tracker")
+    return _swap_tracker(abm, tracker, tracker, "use_vector_tracker", empty_pool=True)

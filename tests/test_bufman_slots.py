@@ -10,7 +10,7 @@ class TestChunkSlotPool:
     def test_load_lifecycle(self):
         pool = ChunkSlotPool(capacity=2)
         pool.start_load(5)
-        assert pool.is_loading(5)
+        assert pool.loading_chunks() == [5]
         assert 5 not in pool
         slot = pool.complete_load(5, now=1.0)
         assert slot.chunk == 5
@@ -104,7 +104,7 @@ class TestChunkSlotPool:
             pool.pin(0, now=0.0)
         with pytest.raises(BufferPoolError):
             pool.evict(0)
-        assert pool.is_loading(0)
+        assert pool.loading_chunks() == [0]
 
     def test_free_slots_accounting(self):
         pool = ChunkSlotPool(capacity=3)
@@ -124,7 +124,16 @@ class TestChunkSlotPool:
         pool.complete_load(4, now=0.0)
         assert pool.loading_chunks() == [9]
         assert pool.buffered_chunks() == [4]
-        assert not pool.is_loading(4)
+
+    def test_occupies_slot_while_loading_or_buffered(self):
+        pool = ChunkSlotPool(capacity=2)
+        assert not pool.occupies_slot(3)
+        pool.start_load(3)
+        assert pool.occupies_slot(3)
+        pool.complete_load(3, now=0.0)
+        assert pool.occupies_slot(3)
+        pool.evict(3)
+        assert not pool.occupies_slot(3)
 
     def test_pins_nest(self):
         pool = ChunkSlotPool(capacity=1)

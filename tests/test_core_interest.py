@@ -3,9 +3,10 @@
 Beyond the golden-trace equivalence suite (which proves end-to-end that the
 trackers change no scheduling decision), these tests cross-check the
 maintained aggregates against the recompute-from-scratch oracle in
-``tests/naive_relevance.py`` after every lifecycle event -- for the DSM
-tracker's column-level answers also after every event of random pool and
-query event sequences, at buffers down to 10% of the table -- and pin the
+``tests/naive_relevance.py`` after every lifecycle event -- also after
+every event of random pool and query event sequences: on both NSM trackers
+(the unwanted chunks included), and on the DSM tracker's column-level
+answers at buffers down to 10% of the table -- and pin the
 satellite fixes: the ABM's starvation predicates follow the bound policy's
 ``RelevanceParameters`` instead of a hardcoded 2, and ``loads_triggered``
 has an entry for every registered query.
@@ -37,7 +38,12 @@ from repro.workload.queries import QueryFamily, QueryTemplate
 from repro.workload.streams import build_streams
 
 from tests.conftest import make_request
-from tests.naive_relevance import NaiveTracker, use_naive_bookkeeping
+from tests.naive_relevance import (
+    NaiveTracker,
+    use_naive_bookkeeping,
+    use_scalar_tracker,
+    use_vector_tracker,
+)
 
 #: Parametrisation over the two bookkeeping paths: the ABM's own tracker
 #: and the recompute-from-scratch oracle.
@@ -79,13 +85,13 @@ def _check_consistency(abm) -> None:
         assert tracker.available_count(query_id) == oracle.available_count(query_id)
         assert tracker._starved_flag[query_id] == oracle.is_starved(query_id)
         assert tracker._almost_flag[query_id] == oracle.is_almost_starved(query_id)
+    assert tracker.unwanted_chunks() == oracle.unwanted_chunks()
     if dsm:
         _check_dsm_consistency(abm, tracker, oracle)
 
 
 def _check_dsm_consistency(abm, tracker, oracle) -> None:
     """The DSM tracker's column-level answers against the oracle's walks."""
-    assert tracker.unwanted_chunks() == oracle.unwanted_chunks()
     handles = abm.active_handles()
     for chunk in range(abm.num_chunks):
         assert tracker.interested_columns(chunk) == oracle.interested_columns(chunk)
@@ -188,6 +194,15 @@ class TestInterestTracker:
         abm.register(make_request(1, range(0, 4)), now=0.0)
         with pytest.raises(ValueError, match="before any query registers"):
             use_naive_bookkeeping(abm)
+
+    @pytest.mark.parametrize("pin", [use_scalar_tracker, use_vector_tracker])
+    def test_tracker_pin_must_precede_loads(self, pin):
+        """A new NSM tracker learns the unwanted chunks from the pool's
+        load hooks, so it cannot be pinned over a non-empty pool."""
+        abm = _nsm_abm()
+        abm.pool.start_load(3)
+        with pytest.raises(ValueError, match="before any chunk loads"):
+            pin(abm)
 
 
 class TestDSMTrackerLifecycle:
@@ -320,6 +335,116 @@ class TestDSMTrackerLifecycle:
     @pytest.mark.parametrize("buffer_fraction", [0.1, 0.2, 0.45])
     def test_random_events_match_oracle_slow(self, dsm_layout, seed, buffer_fraction):
         self._replay(dsm_layout, seed, buffer_fraction, steps=300)
+
+
+class TestNSMTrackerLifecycle:
+    """Random event sequences against an NSM ABM on either tracker, with
+    every aggregate -- the unwanted chunks included -- checked against the
+    oracle after every event.  Events go through the ABM where it has an
+    entry point and straight to the pool otherwise."""
+
+    EVENTS = (
+        "register", "register", "start", "start", "start", "complete",
+        "complete", "evict", "reload", "select", "select", "finish",
+        "finish", "cancel", "register_unwanted",
+    )
+    TRACKERS = {"scalar": use_scalar_tracker, "vector": use_vector_tracker}
+
+    def _random_request(self, rng, query_id, num_chunks, chunk=None):
+        first = rng.randrange(num_chunks) if chunk is None else max(0, chunk - 3)
+        last = min(num_chunks, first + rng.randint(2, 10))
+        if chunk is not None:
+            last = max(last, chunk + 1)
+        return make_request(query_id, range(first, last))
+
+    def _step(self, abm, rng, event: str, now: float, next_id: int) -> Tuple[int, bool]:
+        """Apply one event if it has a valid target; returns the next free
+        query id, and whether the event applied."""
+        pool = abm.pool
+        handles = abm.active_handles()
+        evictable = [slot.chunk for slot in pool.evictable_slots()]
+        if event == "register" and len(handles) < 6:
+            abm.register(self._random_request(rng, next_id, abm.num_chunks), now)
+            return next_id + 1, True
+        if event == "register_unwanted" and abm.tracker.unwanted_chunks():
+            chunk = rng.choice(sorted(abm.tracker.unwanted_chunks()))
+            abm.register(
+                self._random_request(rng, next_id, abm.num_chunks, chunk), now
+            )
+            return next_id + 1, True
+        if event == "start" and pool.has_free_slot():
+            # Mostly a chunk some query needs, so that queries can progress.
+            if handles and rng.random() < 0.7:
+                candidates = sorted(rng.choice(handles).needed)
+            else:
+                candidates = list(range(abm.num_chunks))
+            candidates = [c for c in candidates if not pool.occupies_slot(c)]
+            if candidates:
+                pool.start_load(rng.choice(candidates))
+                return next_id, True
+        elif event == "complete" and pool.loading_chunks():
+            pool.complete_load(rng.choice(sorted(pool.loading_chunks())), now)
+            return next_id, True
+        elif event == "evict" and evictable:
+            pool.evict(rng.choice(evictable))
+            return next_id, True
+        elif event == "reload" and evictable:
+            chunk = rng.choice(evictable)
+            pool.evict(chunk)
+            pool.start_load(chunk)
+            pool.complete_load(chunk, now)
+            return next_id, True
+        elif event == "select":
+            idle = [h for h in handles if not h.is_processing and not h.finished]
+            if idle and abm.select_chunk(rng.choice(idle).query_id, now) is not None:
+                return next_id, True
+        elif event == "finish":
+            busy = [h for h in handles if h.is_processing]
+            if busy:
+                handle = rng.choice(busy)
+                abm.finish_chunk(handle.query_id, now)
+                if handle.finished:
+                    abm.unregister(handle.query_id, now)
+                return next_id, True
+        elif event == "cancel" and handles:
+            abm.cancel(rng.choice(handles).query_id, now)
+            return next_id, True
+        return next_id, False
+
+    def _replay(self, policy: str, tracker: str, seed: int, capacity: int, steps: int):
+        rng = random.Random(seed)
+        abm = ActiveBufferManager(
+            num_chunks=24,
+            capacity_chunks=capacity,
+            policy=make_policy(policy),
+            chunk_bytes=1 << 20,
+        )
+        self.TRACKERS[tracker](abm)
+        next_id = 1
+        applied = set()
+        for step in range(steps):
+            event = rng.choice(self.EVENTS)
+            next_id, done = self._step(abm, rng, event, float(step), next_id)
+            if done:
+                applied.add(event)
+            _check_consistency(abm)
+        return applied
+
+    @pytest.mark.parametrize("tracker", sorted(TRACKERS))
+    @pytest.mark.parametrize("policy", ["elevator", "relevance"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("capacity", [3, 8])
+    def test_random_events_match_oracle(self, tracker, policy, seed, capacity):
+        applied = self._replay(policy, tracker, seed, capacity, steps=150)
+        assert applied == set(self.EVENTS)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("tracker", sorted(TRACKERS))
+    @pytest.mark.parametrize("policy", ["elevator", "relevance"])
+    @pytest.mark.parametrize("seed", range(2, 12))
+    @pytest.mark.parametrize("capacity", [3, 8])
+    def test_random_events_match_oracle_slow(self, tracker, policy, seed, capacity):
+        self._replay(policy, tracker, seed, capacity, steps=400)
 
 
 class TestTrackerChoice:

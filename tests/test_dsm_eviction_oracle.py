@@ -154,14 +154,15 @@ def _apply_nsm(pool: ChunkSlotPool, op: str, index: int, now: float) -> None:
             [
                 chunk
                 for chunk in CHUNKS
-                if chunk not in pool and not pool.is_loading(chunk)
+                if not pool.occupies_slot(chunk)
             ],
             index,
         )
         if chunk is not None and pool.has_free_slot():
             pool.start_load(chunk)
     elif op == "complete":
-        chunk = _pick([chunk for chunk in CHUNKS if pool.is_loading(chunk)], index)
+        loading = pool.loading_chunks()
+        chunk = _pick([chunk for chunk in CHUNKS if chunk in loading], index)
         if chunk is not None:
             pool.complete_load(chunk, now)
     elif op == "pin":

@@ -188,3 +188,17 @@ def test_obs_overhead_exports_are_pinned():
         "9aa716567f7b1899f0e68b5b10514fbbec15e76f7b90700bf252ecbf6f289c5b",
         "782be8a68a13d75d45529251c8bbeebe8a41d9184e02506164725eb3a19055ca",
     )
+
+
+def test_example_main_leaves_no_trace_directory(tmp_path, monkeypatch, capsys):
+    """``examples/flight_recorder.py``'s ``main()`` writes its exports into
+    a temporary directory and removes it before returning."""
+    import tempfile
+
+    example = runpy.run_path(
+        str(REPO / "examples" / "flight_recorder.py"), run_name="example"
+    )
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    example["main"]()
+    assert "cluster_trace.jsonl" in capsys.readouterr().out
+    assert list(tmp_path.glob("repro_trace_*")) == []

@@ -110,7 +110,7 @@ class TestChunkSlotPoolProperties:
             if chunk in pool:
                 pool.evict(chunk)
                 continue
-            if pool.is_loading(chunk):
+            if chunk in pool.loading_chunks():
                 pool.complete_load(chunk, now=0.0)
                 continue
             if not pool.has_free_slot():

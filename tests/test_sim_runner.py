@@ -1,7 +1,11 @@
 """Tests for the discrete-event simulator."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
+from repro.common.config import CpuConfig
 from repro.common.errors import SimulationError
 from repro.core.policies import POLICY_NAMES
 from repro.sim.runner import ScanSimulator, run_simulation, run_standalone
@@ -243,3 +247,44 @@ class TestCpuHeapCompaction:
         assert simulator.is_done()
         result = simulator.finish()
         assert len(result.queries) == 48 - len(victims)
+
+
+class TestMemoizedCpuRate:
+    """The event core reads the processor-sharing rate from a table of
+    ``CpuConfig.rate_per_query`` by running-query count, filled on first
+    use; the next event time and the virtual clock must use exactly
+    ``rate_per_query(running)``, bit for bit, whether the entry was just
+    filled or read back."""
+
+    NOW, VTIME, TARGET, DT = 3.3, 1.7, 2.9, 0.7
+
+    def _check(self, simulator, config, running: int) -> None:
+        rate = config.cpu.rate_per_query(running)
+        simulator._running = {
+            query_id: SimpleNamespace(cpu_seq=query_id) for query_id in range(running)
+        }
+        simulator._cpu_heap = [(self.TARGET, 0, 0)]
+        simulator._now = self.NOW
+        simulator._vtime = self.VTIME
+        simulator._cpu_busy_area = 0.0
+        expected = self.NOW + max(0.0, self.TARGET - self.VTIME) / rate
+        assert simulator._next_event_time().hex() == expected.hex()
+        simulator._advance_to(self.NOW + self.DT)
+        dt = self.NOW + self.DT - self.NOW
+        assert simulator._vtime.hex() == (self.VTIME + dt * rate).hex()
+        assert simulator._cpu_busy_area == min(running, config.cpu.cores) * dt
+        assert simulator._rates[running].hex() == rate.hex()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 6, 8, 16])
+    def test_rate_matches_rate_per_query(self, cores, nsm_layout, small_config):
+        config = replace(small_config, cpu=CpuConfig(cores=cores))
+        abm = make_nsm_abm(nsm_layout, config, "normal")
+        simulator = ScanSimulator([[make_request(0, range(2))]], config, abm)
+        # Only the CPU completes: no arrival and no disk operation is due.
+        simulator._source = SimpleNamespace(next_event_time=lambda: None)
+        simulator._disk_done = {}
+        counts = range(1, 4 * cores + 1)
+        for running in counts:  # each entry filled on first use
+            self._check(simulator, config, running)
+        for running in reversed(counts):  # each entry read back
+            self._check(simulator, config, running)
