@@ -1,15 +1,17 @@
-"""Observability overhead: a traced cluster run must stay near-free.
+"""Observability overhead: what a traced cluster run costs over an untraced one.
 
 The flight recorder (:mod:`repro.obs`) is threaded through every layer of
 the stack with a ``None``-guard per emission, so a run without a recorder
-pays nothing and a run with one pays only the event appends.  This
-benchmark runs the same small 4-shard cluster workload untraced and traced
-and enforces the contract:
+pays nothing and a run with one pays the event appends.  On this
+benchmark's 4-shard cluster (8,110 events, 18 metric series) that is
+about 1.2x the untraced wall-clock: the gate's statistic read 1.18-1.24x
+over 10 consecutive runs on a shared 2-vCPU host.  The benchmark runs the
+workload untraced and traced and enforces the contract:
 
 * **identical decisions** — the traced run's per-shard scheduling
   fingerprints match the untraced run bit for bit;
 * **bounded overhead** — traced wall-clock time stays within
-  ``OVERHEAD_BUDGET`` (1.5x) of the untraced run: the median, over
+  ``OVERHEAD_BUDGET`` (1.35x) of the untraced run: the median, over
   ``SAMPLES`` interleaved untraced/traced pairs, of each pair's ratio;
 * **valid exports** — the Chrome trace-event JSON passes
   :func:`repro.obs.export.validate_chrome_trace` (Perfetto-loadable) and
@@ -60,12 +62,13 @@ NUM_QUERIES = 40
 MPL_PER_SHARD = 3
 ARRIVAL_SEED = 7
 RATE_QPS = 1.2
-#: Traced wall-clock must stay within this multiple of untraced.
-OVERHEAD_BUDGET = 1.5
-#: Interleaved untraced/traced pairs.  The true overhead is about 1.3x; on
-#: a shared 2-vCPU host the best-of-5 ratio it replaced spread 1.1-1.74x
-#: and failed about one trial in twenty whatever the pair count (it divides
-#: two extremes), while the median pair ratio of 15 pairs spread 1.29-1.40x.
+#: Traced wall-clock must stay within this multiple of untraced: the
+#: lowest 0.05 step that 10 consecutive runs (1.18-1.24x) clear by 0.1.
+OVERHEAD_BUDGET = 1.35
+#: Interleaved untraced/traced pairs.  On a shared 2-vCPU host the
+#: best-of-5 ratio it replaced spread 1.1-1.74x and failed about one trial
+#: in twenty whatever the pair count (it divides two extremes), while the
+#: median pair ratio of 15 pairs spread 1.29-1.40x at a 1.3x overhead.
 SAMPLES = 15
 
 

@@ -11,9 +11,10 @@ run's fingerprint is bit-for-bit identical to the untraced one.
 This example traces a small 2-shard cluster, proves that equivalence,
 writes the trace as Chrome trace-event JSON (drag it into
 https://ui.perfetto.dev) and JSONL into a temporary directory, loads the
-JSONL back, and prints the windowed metric timelines and the shards'
-scheduling cost.  The temporary directory is removed before ``main()``
-returns; call ``write_chrome_trace`` on a path of your own to keep a trace.
+JSONL back, prints the windowed metric timelines and the shards'
+scheduling cost, and runs once more with only the metrics half on.  The
+temporary directory is removed before ``main()`` returns; call
+``write_chrome_trace`` on a path of your own to keep a trace.
 
 Run with::
 
@@ -141,6 +142,17 @@ def main():
     calls = sum(run.scheduling_calls for run in traced.shard_runs)
     print(f"\nscheduling (all shards): {seconds * 1e3:.3f} ms wall-clock, "
           f"{calls} counted decisions")
+
+    # 5. Either half of the recorder can be switched off: a metrics-only
+    # recorder keeps the same timelines without the event log.
+    lean = run_cluster_service(
+        arrivals, config, shard_abms(), cluster,
+        obs=ObservabilityConfig(trace=False),
+    )
+    assert lean.obs.events == []
+    assert all(lean.obs.metrics.series(name) == flight.metrics.series(name)
+               for name in flight.metrics.names())
+    print(f"metrics-only recorder: {', '.join(lean.obs.summary_lines())}")
 
 
 if __name__ == "__main__":

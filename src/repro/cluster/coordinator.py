@@ -250,6 +250,24 @@ class ClusterCoordinator:
         #: front-door process's ``cluster`` track.
         self._obs = obs
         self._obs_pid = "frontdoor"
+        if obs is not None:
+            # The per-query rows and the open-queries gauge, resolved once;
+            # shard tuples are stored as they are (the trace reports lists).
+            self._obs_scatter = obs.instant_writer(
+                "cluster.scatter", "cluster", self._obs_pid, "cluster",
+                "query", "query_name", "query_class", "chunks", "shards",
+                "subqueries",
+            )
+            self._obs_subquery_complete = obs.instant_writer(
+                "cluster.subquery.complete", "cluster", self._obs_pid,
+                "cluster", "query", "sub", "shard", "hedged", "remaining",
+            )
+            self._obs_gather = obs.instant_writer(
+                "cluster.gather", "cluster", self._obs_pid, "cluster",
+                "query", "query_name", "query_class", "shards",
+                "end_to_end_latency",
+            )
+            self._obs_open_queries = obs.gauge_writer("cluster.open_queries")
         #: Optional CPU/NIC cost model; ``None`` makes scatter and gather
         #: instant.
         self.resources = resources
@@ -317,6 +335,10 @@ class ClusterCoordinator:
         #: Shards whose lockstep probe may have changed since the driver
         #: last asked (``None``: every shard); see :meth:`take_touched`.
         self._touched: Optional[Set[int]] = set()
+        #: :meth:`earliest_in_flight`'s answer, kept until a pending buffer
+        #: changes (every change goes through :meth:`_touch`).
+        self._in_flight: Optional[float] = None
+        self._in_flight_stale = False
 
     # ------------------------------------------------------------ front door
     def next_arrival_time(self) -> Optional[float]:
@@ -333,6 +355,9 @@ class ClusterCoordinator:
         work.
         """
         arrival = self.frontdoor.next_arrival_time()
+        if arrival is None or arrival > now + _EPS:
+            # Nothing is due: the front door's pump would admit nothing.
+            return
         for entry in self.frontdoor.pump(now):
             self._scatter(entry, now)
         if self.frontdoor.next_arrival_time() != arrival:
@@ -375,16 +400,11 @@ class ClusterCoordinator:
             spec=entry.spec,
         )
         if self._obs is not None:
-            self._instant(
-                "cluster.scatter", now,
-                query=query_id,
-                query_name=entry.spec.name,
-                query_class=entry.query_class,
-                chunks=entry.spec.num_chunks,
-                shards=list(primaries),
-                subqueries=len(groups),
+            self._obs_scatter(
+                now, query_id, entry.spec.name, entry.query_class,
+                entry.spec.num_chunks, primaries, len(groups),
             )
-            self._obs.set_gauge("cluster.open_queries", now, float(len(self._open)))
+            self._obs_open_queries(now, float(len(self._open)))
         ready = now
         if self.resources is not None:
             ready = self.resources.admit(now, query_id, len(groups))
@@ -544,29 +564,19 @@ class ClusterCoordinator:
                 arrived, query_id, final=open_query.remaining == 0
             )
         if self._obs is not None:
-            self._instant(
-                "cluster.subquery.complete", now,
-                query=query_id,
-                sub=sub_id,
-                shard=shard,
-                hedged=sub.hedge_of is not None,
-                remaining=open_query.remaining,
+            self._obs_subquery_complete(
+                now, query_id, sub_id, shard, sub.hedge_of is not None,
+                open_query.remaining,
             )
         if open_query.remaining > 0:
             return []
         del self._open[query_id]
         if self._obs is not None:
-            self._instant(
-                "cluster.gather", completion,
-                query=query_id,
-                query_name=open_query.name,
-                query_class=open_query.query_class,
-                shards=list(open_query.shards),
-                end_to_end_latency=completion - open_query.submit_time,
+            self._obs_gather(
+                completion, query_id, open_query.name, open_query.query_class,
+                open_query.shards, completion - open_query.submit_time,
             )
-            self._obs.set_gauge(
-                "cluster.open_queries", completion, float(len(self._open))
-            )
+            self._obs_open_queries(completion, float(len(self._open)))
         self.records.append(
             ClusterQueryRecord(
                 query_id=query_id,
@@ -992,6 +1002,9 @@ class ClusterCoordinator:
             )
 
     def _touch(self, shard: int) -> None:
+        """Note that ``shard``'s pending buffer or queries changed; every
+        change to a pending buffer calls this."""
+        self._in_flight_stale = True
         if self._touched is not None:
             self._touched.add(shard)
 
@@ -1012,12 +1025,14 @@ class ClusterCoordinator:
         """Delivery time of the earliest undelivered sub-query message.
 
         The :class:`repro.sim.lockstep.LockstepRunner` treats this as an
-        event of the min-frontier step: no shard clock may pass it.
+        event of the min-frontier step: no shard clock may pass it.  The
+        buffers are walked again only after one of them changed.
         """
-        times = [queue[0][0] for queue in self._pending if queue]
-        if not times:
-            return None
-        return min(times)
+        if self._in_flight_stale:
+            self._in_flight_stale = False
+            times = [queue[0][0] for queue in self._pending if queue]
+            self._in_flight = min(times) if times else None
+        return self._in_flight
 
     def describe(self) -> Dict[str, object]:
         """Flat description of the cluster front door (for reports)."""

@@ -61,6 +61,9 @@ VECTOR_TRACKER_MIN_CHUNKS = 256
 class _BaseABM:
     """State and bookkeeping shared by the NSM and DSM buffer managers."""
 
+    #: Argument names of the ``abm.load.issue`` trace event (per layout).
+    _OBS_LOAD_ISSUE: Tuple[str, ...]
+
     def __init__(self) -> None:
         self._handles: Dict[int, CScanHandle] = {}
         #: The interest tracker (:mod:`repro.core.interest`) answering every
@@ -82,11 +85,9 @@ class _BaseABM:
         #: account for) several concurrent loads.
         self.pending_loads: int = 0
         #: Optional flight recorder (:meth:`attach_observability`); ``None``
-        #: records nothing and costs one attribute test per decision.
+        #: records nothing and costs one attribute test per decision.  The
+        #: ``_obs_*`` writers are only set while one is attached.
         self._obs = None
-        self._obs_pid = "service"
-        self._obs_starved_gauge = "service.abm.starved_queries"
-        self._obs_hit_gauge = "service.abm.hit_rate"
         #: Last observed per-query starvation state (only maintained while a
         #: recorder is attached; used to emit starvation *flips* only).
         self._obs_starved: Dict[int, bool] = {}
@@ -102,9 +103,36 @@ class _BaseABM:
         recorder attached mid-run catches up on the states it missed.
         """
         self._obs = flight
-        self._obs_pid = process
-        self._obs_starved_gauge = f"{process}.abm.starved_queries"
-        self._obs_hit_gauge = f"{process}.abm.hit_rate"
+        self._obs_register = flight.instant_writer(
+            "abm.register", "abm", process, "abm", "query", "chunks"
+        )
+        self._obs_unregister = flight.instant_writer(
+            "abm.unregister", "abm", process, "abm", "query"
+        )
+        self._obs_attach = flight.instant_writer(
+            "abm.attach", "abm", process, "abm", "query", "chunk"
+        )
+        self._obs_starved_row = flight.instant_writer(
+            "abm.starved", "abm", process, "abm", "query"
+        )
+        self._obs_unstarved_row = flight.instant_writer(
+            "abm.unstarved", "abm", process, "abm", "query"
+        )
+        self._obs_load_complete = flight.instant_writer(
+            "abm.load.complete", "abm", process, "abm", "chunk", "query", "woken"
+        )
+        self._obs_starved_gauge = flight.gauge_writer(
+            f"{process}.abm.starved_queries"
+        )
+        self._obs_hit_gauge = flight.gauge_writer(f"{process}.abm.hit_rate")
+        # Evicted chunks or blocks, and DSM's loaded columns, are stored
+        # as the tuples the load operation holds (the trace reports lists).
+        self._obs_evict = flight.instant_writer(
+            "abm.evict", "abm", process, "abm", "victims", "for_chunk"
+        )
+        self._obs_load_issue = flight.instant_writer(
+            "abm.load.issue", "abm", process, "abm", *self._OBS_LOAD_ISSUE
+        )
         self.tracker.starved_flips = set(self._handles)
 
     def _obs_starvation_update(self, handle: CScanHandle, now: float) -> None:
@@ -116,13 +144,11 @@ class _BaseABM:
             return
         self._obs_starved[query_id] = starved
         self._obs_starved_count += 1 if starved else -1
-        self._obs.instant(
-            "abm.starved" if starved else "abm.unstarved",
-            "abm", now, self._obs_pid, "abm", query=query_id,
-        )
-        self._obs.set_gauge(
-            self._obs_starved_gauge, now, self._obs_starved_count
-        )
+        if starved:
+            self._obs_starved_row(now, query_id)
+        else:
+            self._obs_unstarved_row(now, query_id)
+        self._obs_starved_gauge(now, self._obs_starved_count)
 
     def _obs_starvation_flips(self, now: float) -> None:
         """Re-check the handles whose starved flag flipped since the last
@@ -132,6 +158,8 @@ class _BaseABM:
         what :meth:`_obs_starvation_update` computes, so this emits the
         flips a re-check of every registered handle would, in its order.
         """
+        if not self.tracker.starved_flips:
+            return
         handles = self._handles
         for query_id in self.tracker.take_starved_flips():
             self._obs_starvation_update(handles[query_id], now)
@@ -139,14 +167,7 @@ class _BaseABM:
     def _obs_forget(self, query_id: int, now: float) -> None:
         if self._obs_starved.pop(query_id, False):
             self._obs_starved_count -= 1
-            self._obs.set_gauge(
-                self._obs_starved_gauge, now, self._obs_starved_count
-            )
-
-    def _obs_hit_rate_gauge(self, now: float) -> None:
-        if self.buffer_hits > 0:
-            rate = max(0.0, 1.0 - self.io_requests / self.buffer_hits)
-            self._obs.set_gauge(self._obs_hit_gauge, now, rate)
+            self._obs_starved_gauge(now, self._obs_starved_count)
 
     # ------------------------------------------------------------ queries
     def register(self, request: ScanRequest, now: float) -> CScanHandle:
@@ -161,10 +182,7 @@ class _BaseABM:
         self.tracker.on_register(handle)
         self._policy().on_register(handle, now)
         if self._obs is not None:
-            self._obs.instant(
-                "abm.register", "abm", now, self._obs_pid, "abm",
-                query=request.query_id, chunks=request.num_chunks,
-            )
+            self._obs_register(now, request.query_id, request.num_chunks)
             self._obs_starvation_update(handle, now)
         return handle
 
@@ -175,10 +193,7 @@ class _BaseABM:
         self.tracker.on_unregister(handle)
         self._policy().on_unregister(handle, now)
         if self._obs is not None:
-            self._obs.instant(
-                "abm.unregister", "abm", now, self._obs_pid, "abm",
-                query=query_id,
-            )
+            self._obs_unregister(now, query_id)
             self._obs_forget(query_id, now)
         return handle
 
@@ -239,7 +254,10 @@ class _BaseABM:
     def is_starved(self, handle: CScanHandle) -> bool:
         """The paper's ``queryStarved``: fewer available chunks than the
         bound policy's starvation threshold."""
-        return self.num_available_chunks(handle) < self.starvation_threshold
+        return (
+            self.tracker.available_count(handle.query_id)
+            < self._starvation_threshold
+        )
 
     def starved_handles(self) -> List[CScanHandle]:
         """All registered scans that are currently starved (registration
@@ -277,6 +295,9 @@ class ActiveBufferManager(_BaseABM):
         Optional per-chunk byte sizes (the last chunk of a table is usually
         smaller); defaults to ``chunk_bytes`` for every chunk.
     """
+
+    #: Argument names of the ``abm.load.issue`` trace event.
+    _OBS_LOAD_ISSUE = ("chunk", "query", "num_bytes")
 
     def __init__(
         self,
@@ -368,11 +389,11 @@ class ActiveBufferManager(_BaseABM):
         handle.start_chunk(chunk, now)
         self.buffer_hits += 1
         if self._obs is not None:
-            self._obs.instant(
-                "abm.attach", "abm", now, self._obs_pid, "abm",
-                query=query_id, chunk=chunk,
+            self._obs_attach(now, query_id, chunk)
+            # ``buffer_hits`` was just incremented: the rate is defined.
+            self._obs_hit_gauge(
+                now, max(0.0, 1.0 - self.io_requests / self.buffer_hits)
             )
-            self._obs_hit_rate_gauge(now)
         return chunk
 
     def finish_chunk(self, query_id: int, now: float) -> int:
@@ -382,7 +403,11 @@ class ActiveBufferManager(_BaseABM):
         self.pool.unpin(chunk, now)
         self.tracker.on_chunk_finished(handle, chunk)
         self.policy.on_chunk_consumed(handle, chunk, now)
-        if self._obs is not None:
+        if self._obs is not None and (
+            handle.finished or query_id in self.tracker.starved_flips
+        ):
+            # Re-check only a query whose starved flag flipped since its
+            # last re-check (the tracker noted it) or that just finished.
             self._obs_starvation_update(handle, now)
         return chunk
 
@@ -426,22 +451,16 @@ class ActiveBufferManager(_BaseABM):
         self.io_requests += 1
         self.pending_loads += 1
         self.loads_triggered[query_id] += 1
+        num_bytes = self.chunk_size(chunk)
         if self._obs is not None:
             if evicted:
-                self._obs.instant(
-                    "abm.evict", "abm", now, self._obs_pid, "abm",
-                    victims=list(evicted), for_chunk=chunk,
-                )
+                self._obs_evict(now, evicted, chunk)
                 self._obs_starvation_flips(now)
-            self._obs.instant(
-                "abm.load.issue", "abm", now, self._obs_pid, "abm",
-                chunk=chunk, query=query_id,
-                num_bytes=self.chunk_size(chunk),
-            )
+            self._obs_load_issue(now, chunk, query_id, num_bytes)
         return LoadOperation(
             chunk=chunk,
             triggered_by=query_id,
-            num_bytes=self.chunk_size(chunk),
+            num_bytes=num_bytes,
             evicted=evicted,
         )
 
@@ -458,10 +477,8 @@ class ActiveBufferManager(_BaseABM):
             if handle.is_blocked
         ]
         if self._obs is not None:
-            self._obs.instant(
-                "abm.load.complete", "abm", now, self._obs_pid, "abm",
-                chunk=operation.chunk, query=operation.triggered_by,
-                woken=len(woken),
+            self._obs_load_complete(
+                now, operation.chunk, operation.triggered_by, len(woken)
             )
             self._obs_starvation_flips(now)
         return woken
@@ -475,6 +492,9 @@ class DSMActiveBufferManager(_BaseABM):
     column blocks of one logical chunk (possibly for a superset of the
     triggering query's columns, as decided by the policy).
     """
+
+    #: Argument names of the ``abm.load.issue`` trace event.
+    _OBS_LOAD_ISSUE = ("chunk", "query", "columns", "num_bytes")
 
     def __init__(
         self,
@@ -564,11 +584,11 @@ class DSMActiveBufferManager(_BaseABM):
         handle.start_chunk(chunk, now)
         self.buffer_hits += 1
         if self._obs is not None:
-            self._obs.instant(
-                "abm.attach", "abm", now, self._obs_pid, "abm",
-                query=query_id, chunk=chunk,
+            self._obs_attach(now, query_id, chunk)
+            # ``buffer_hits`` was just incremented: the rate is defined.
+            self._obs_hit_gauge(
+                now, max(0.0, 1.0 - self.io_requests / self.buffer_hits)
             )
-            self._obs_hit_rate_gauge(now)
         return chunk
 
     def finish_chunk(self, query_id: int, now: float) -> int:
@@ -582,7 +602,11 @@ class DSMActiveBufferManager(_BaseABM):
             self.pool.unpin((chunk, column), now)
         self.tracker.on_chunk_finished(handle, chunk)
         self.policy.on_chunk_consumed(handle, chunk, now)
-        if self._obs is not None:
+        if self._obs is not None and (
+            handle.finished or query_id in self.tracker.starved_flips
+        ):
+            # Re-check only a query whose starved flag flipped since its
+            # last re-check (the tracker noted it) or that just finished.
             self._obs_starvation_update(handle, now)
         return chunk
 
@@ -653,17 +677,12 @@ class DSMActiveBufferManager(_BaseABM):
         self.loads_triggered[query_id] += 1
         if self._obs is not None:
             if evicted:
-                self._obs.instant(
-                    "abm.evict", "abm", now, self._obs_pid, "abm",
-                    victims=[list(victim) for victim in evicted],
-                    for_chunk=chunk,
-                )
+                self._obs_evict(now, evicted, chunk)
                 self._obs_starvation_flips(now)
-            self._obs.instant(
-                "abm.load.issue", "abm", now, self._obs_pid, "abm",
-                chunk=chunk, query=query_id,
-                columns=[block.column for block in blocks],
-                num_bytes=sum(block.num_bytes for block in blocks),
+            self._obs_load_issue(
+                now, chunk, query_id,
+                tuple(block.column for block in blocks),
+                sum(block.num_bytes for block in blocks),
             )
         return DSMLoadOperation(
             chunk=chunk,
@@ -687,10 +706,8 @@ class DSMActiveBufferManager(_BaseABM):
             if handle.is_blocked and operation.chunk in available(handle.query_id)
         ]
         if self._obs is not None:
-            self._obs.instant(
-                "abm.load.complete", "abm", now, self._obs_pid, "abm",
-                chunk=operation.chunk, query=operation.triggered_by,
-                woken=len(woken),
+            self._obs_load_complete(
+                now, operation.chunk, operation.triggered_by, len(woken)
             )
             self._obs_starvation_flips(now)
         return woken

@@ -50,8 +50,6 @@ class MultiVolumeDisk:
         #: Optional flight recorder (:meth:`attach_observability`); ``None``
         #: records nothing.
         self._obs = None
-        self._obs_pid = "service"
-        self._obs_tids: List[str] = []
 
     def attach_observability(self, flight, process: str = "service") -> None:
         """Emit per-volume seek/transfer spans for every served request.
@@ -61,8 +59,20 @@ class MultiVolumeDisk:
         pure timing behaviour.
         """
         self._obs = flight
-        self._obs_pid = process
-        self._obs_tids = [f"vol{volume}" for volume in range(self.num_volumes)]
+        self._obs_seek = [
+            flight.complete_writer(
+                "disk.seek", "disk", process, f"vol{volume}",
+                "chunk", "sequential",
+            )
+            for volume in range(self.num_volumes)
+        ]
+        self._obs_transfer = [
+            flight.complete_writer(
+                "disk.transfer", "disk", process, f"vol{volume}",
+                "chunk", "num_bytes", "column", "triggered_by",
+            )
+            for volume in range(self.num_volumes)
+        ]
 
     # ------------------------------------------------------------ routing
     @property
@@ -88,19 +98,12 @@ class MultiVolumeDisk:
         duration = model.serve(self._localise(request))
         if self._obs is not None and now is not None:
             seek = model.last_seek_s
-            tid = self._obs_tids[volume]
-            self._obs.complete(
-                "disk.seek", "disk", now, seek, self._obs_pid, tid,
-                chunk=request.chunk,
-                sequential=seek <= self.config.sequential_seek_s,
+            self._obs_seek[volume](
+                now, seek, request.chunk, seek <= self.config.sequential_seek_s
             )
-            self._obs.complete(
-                "disk.transfer", "disk", now + seek, duration - seek,
-                self._obs_pid, tid,
-                chunk=request.chunk,
-                num_bytes=request.num_bytes,
-                column=request.column,
-                triggered_by=request.triggered_by,
+            self._obs_transfer[volume](
+                now + seek, duration - seek, request.chunk, request.num_bytes,
+                request.column, request.triggered_by,
             )
         return duration
 

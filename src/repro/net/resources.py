@@ -22,11 +22,14 @@ coordinator saturates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.common.config import CoordinatorConfig, NetworkConfig
 from repro.metrics.timeline import validate_timeline
 from repro.net.cost import SimCPU, SimNIC
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import RowWriter
 
 #: Utilisation at which the coordinator is flagged as the bottleneck.
 SATURATION_WARN = 0.9
@@ -122,47 +125,39 @@ class CoordinatorResources:
         ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`)."""
         self._obs = recorder
         self._obs_pid = pid
+        #: Span and message writers per CPU op / message kind, resolved on
+        #: first use; the two utilisation gauges, resolved here.
+        self._obs_cpu_rows: Dict[str, "RowWriter"] = {}
+        self._obs_message_rows: Dict[str, "RowWriter"] = {}
+        self._obs_cpu_util = recorder.gauge_writer("coordinator.cpu.util")
+        self._obs_nic_util = recorder.gauge_writer("coordinator.nic.util")
 
     def _emit_cpu(self, op: str, charge, query_id: int) -> None:
         if self._obs is None or charge.done <= charge.start:
             return
-        self._obs.complete(
-            f"coordinator.cpu.{op}",
-            "coordinator",
-            charge.start,
-            charge.done - charge.start,
-            self._obs_pid,
-            "coordinator-cpu",
-            query=query_id,
-            queue_delay=charge.queue_delay,
-        )
-        self._obs.set_gauge(
-            "coordinator.cpu.util",
-            charge.done,
-            self.cpu.utilisation(charge.done),
-        )
+        write = self._obs_cpu_rows.get(op)
+        if write is None:
+            write = self._obs_cpu_rows[op] = self._obs.complete_writer(
+                f"coordinator.cpu.{op}", "coordinator", self._obs_pid,
+                "coordinator-cpu", "query", "queue_delay",
+            )
+        write(charge.start, charge.done - charge.start, query_id,
+              charge.queue_delay)
+        self._obs_cpu_util(charge.done, self.cpu.utilisation(charge.done))
 
     def _emit_message(
         self, kind: str, charge, query_id: int, shard: int, num_bytes: int
     ) -> None:
         if self._obs is None:
             return
-        self._obs.instant(
-            f"coordinator.net.{kind}",
-            "net",
-            charge.done,
-            self._obs_pid,
-            "coordinator-nic",
-            query=query_id,
-            shard=shard,
-            bytes=num_bytes,
-            queue_delay=charge.queue_delay,
-        )
-        self._obs.set_gauge(
-            "coordinator.nic.util",
-            charge.done,
-            self.nic.utilisation(charge.done),
-        )
+        write = self._obs_message_rows.get(kind)
+        if write is None:
+            write = self._obs_message_rows[kind] = self._obs.instant_writer(
+                f"coordinator.net.{kind}", "net", self._obs_pid,
+                "coordinator-nic", "query", "shard", "bytes", "queue_delay",
+            )
+        write(charge.done, query_id, shard, num_bytes, charge.queue_delay)
+        self._obs_nic_util(charge.done, self.nic.utilisation(charge.done))
 
     # ------------------------------------------------------------- protocol
     def admit(self, now: float, query_id: int, num_subqueries: int) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.config import (
     DEFAULT_QUERY_CLASS,
@@ -44,6 +44,9 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigurationError
 from repro.core.cscan import ScanRequest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.recorder import GaugeWriter
 
 #: Work estimator used by the shortest-job-first discipline.
 JobSizeEstimator = Callable[[ScanRequest], float]
@@ -194,7 +197,7 @@ class AdmissionController:
         #: test per queue transition.
         self._obs = None
         self._obs_pid = "frontdoor"
-        self._obs_depth_gauges: Dict[str, str] = {}
+        self._obs_depth_gauges: Dict[str, "GaugeWriter"] = {}
 
     # -------------------------------------------------------- observability
     def attach_observability(self, flight, process: str = "frontdoor") -> None:
@@ -205,7 +208,8 @@ class AdmissionController:
         self._obs = flight
         self._obs_pid = process
         self._obs_depth_gauges = {
-            name: f"{process}.queue.{name}.depth" for name in self._order
+            name: flight.gauge_writer(f"{process}.queue.{name}.depth")
+            for name in self._order
         }
 
     def _obs_queue_event(self, name: str, queue: "_ClassQueue",
@@ -218,7 +222,7 @@ class AdmissionController:
             depth=len(queue),
             **extra,
         )
-        self._obs.set_gauge(self._obs_depth_gauges[queue.name], now, len(queue))
+        self._obs_depth_gauges[queue.name](now, len(queue))
 
     # -------------------------------------------------------------- queries
     @property

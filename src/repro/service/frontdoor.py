@@ -238,18 +238,20 @@ class FrontDoor:
         #: nothing (the zero-overhead default).
         self._obs = obs
         self._obs_pid = "frontdoor"
-        # Gauge names are precomputed so the per-completion hot path does
-        # no string formatting.
-        self._obs_mpl_limit = f"{self._obs_pid}.mpl.limit"
-        self._obs_mpl_active = f"{self._obs_pid}.mpl.active"
-        self._obs_hit_rate = f"{self._obs_pid}.hit_rate"
-        self._obs_latency = {
-            cls.name: f"{self._obs_pid}.latency.{cls.name}"
-            for cls in admission.classes
-        }
         if obs is not None:
+            # Gauges are resolved and histogram names formatted once, so
+            # the per-completion hot path does neither.
+            self._obs_mpl_limit = obs.gauge_writer(f"{self._obs_pid}.mpl.limit")
+            self._obs_mpl_active = obs.gauge_writer(
+                f"{self._obs_pid}.mpl.active"
+            )
+            self._obs_hit_rate = obs.gauge_writer(f"{self._obs_pid}.hit_rate")
+            self._obs_latency = {
+                cls.name: f"{self._obs_pid}.latency.{cls.name}"
+                for cls in admission.classes
+            }
             admission.attach_observability(obs, self._obs_pid)
-            obs.set_gauge(self._obs_mpl_limit, 0.0, self.admission.limit)
+            self._obs_mpl_limit(0.0, self.admission.limit)
         #: Per-query probe: chunk loads the ABM(s) attributed to a completed
         #: query, summed at its completion so the hit-rate numerator and
         #: denominator cover the same (completed) queries — in-flight scans
@@ -319,9 +321,7 @@ class FrontDoor:
                 query_class=entry.query_class,
                 queue_wait=max(0.0, now - entry.submit_time),
             )
-            self._obs.set_gauge(
-                self._obs_mpl_active, now, self.admission.active
-            )
+            self._obs_mpl_active(now, self.admission.active)
         return entry
 
     # ----------------------------------------------------------- completion
@@ -366,8 +366,8 @@ class FrontDoor:
                 self._obs_pid, "queries",
                 end_to_end_latency=sample.end_to_end_latency,
             )
-            self._obs.set_gauge(self._obs_mpl_limit, now, self.admission.limit)
-            self._obs.set_gauge(self._obs_hit_rate, now, self.hit_rate())
+            self._obs_mpl_limit(now, self.admission.limit)
+            self._obs_hit_rate(now, self.hit_rate())
             self._obs.observe(
                 self._obs_latency[record.query_class],
                 now, sample.end_to_end_latency,
@@ -375,9 +375,7 @@ class FrontDoor:
         released = self.admission.release(record.query_class, now=now)
         admitted = [self._admit(entry, now) for entry in released]
         if self._obs is not None:
-            self._obs.set_gauge(
-                self._obs_mpl_active, now, self.admission.active
-            )
+            self._obs_mpl_active(now, self.admission.active)
         return admitted
 
     def drained(self) -> bool:

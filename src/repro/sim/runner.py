@@ -49,6 +49,7 @@ from repro.disk.trace import IOTrace
 from repro.obs.postmortem import build_single_node_breakdown
 from repro.obs.recorder import (
     FlightRecorder,
+    GaugeWriter,
     ObservabilityLike,
     build_flight_recorder,
 )
@@ -192,9 +193,9 @@ class ScanSimulator:
         #: and leaves every simulation outcome bit-for-bit unchanged.
         self._obs: Optional[FlightRecorder] = None
         self._pid = obs_process
-        #: Per-volume utilisation gauge names, precomputed on attach so the
-        #: disk-completion hot path does no string formatting.
-        self._obs_vol_util: List[str] = []
+        #: Per-volume utilisation gauges and the hot trace rows, resolved
+        #: on attach so the hot paths do no name lookups or formatting.
+        self._obs_vol_util: List[GaugeWriter] = []
         recorder = build_flight_recorder(obs)
         if recorder is not None:
             self.attach_observability(recorder, obs_process)
@@ -212,9 +213,15 @@ class ScanSimulator:
         self._obs = flight
         self._pid = process
         self._obs_vol_util = [
-            f"{process}.vol{volume}.util"
+            flight.gauge_writer(f"{process}.vol{volume}.util")
             for volume in range(self._disk.num_volumes)
         ]
+        self._obs_cpu_chunk = flight.complete_writer(
+            "cpu.chunk", "cpu", process, "cpu", "query", "chunk"
+        )
+        self._obs_blocked = flight.instant_writer(
+            "exec.blocked", "exec", process, "cpu", "query"
+        )
         self._disk.attach_observability(flight, process)
         self._abm.attach_observability(flight, process)
 
@@ -463,8 +470,8 @@ class ScanSimulator:
             woken = self._abm.complete_load(operation, self._now)
             self._scheduling_seconds += perf_counter() - started
             if self._obs is not None:
-                self._obs.set_gauge(
-                    self._obs_vol_util[volume], self._now,
+                self._obs_vol_util[volume](
+                    self._now,
                     self._disk.volumes[volume].busy_time / self._now
                     if self._now > 0 else 0.0,
                 )
@@ -620,10 +627,7 @@ class ScanSimulator:
             self._blocked.add(query_id)
             self._running.pop(query_id, None)
             if self._obs is not None and not self._abm.handle(query_id).finished:
-                self._obs.instant(
-                    "exec.blocked", "exec", self._now, self._pid, "cpu",
-                    query=query_id,
-                )
+                self._obs_blocked(self._now, query_id)
             return
         run.dispatch_time = self._now
         run.dispatch_chunk = chunk
@@ -639,10 +643,9 @@ class ScanSimulator:
         if self._breakdowns:
             run.cpu_s += self._now - run.dispatch_time
         if self._obs is not None:
-            self._obs.complete(
-                "cpu.chunk", "cpu", run.dispatch_time,
-                self._now - run.dispatch_time, self._pid, "cpu",
-                query=query_id, chunk=run.dispatch_chunk,
+            self._obs_cpu_chunk(
+                run.dispatch_time, self._now - run.dispatch_time,
+                query_id, run.dispatch_chunk,
             )
         started = perf_counter()
         self._abm.finish_chunk(query_id, self._now)

@@ -7,6 +7,11 @@ trusts nothing: every round it asks every live simulator for its next
 event time, takes the global minimum and steps the simulators due there,
 so it is correct by inspection.  The driver-equivalence tests run the same
 seeded cluster scenarios under both and compare every output.
+
+:func:`walk_earliest_in_flight` is the matching oracle for the
+coordinator's :meth:`~repro.cluster.coordinator.ClusterCoordinator.earliest_in_flight`,
+which keeps its answer until a pending buffer changes: it walks every
+shard's pending buffer on each call.
 """
 
 from __future__ import annotations
@@ -95,3 +100,10 @@ class ReferenceLockstepRunner(LockstepRunner):
                     simulator.step(time)
         self.rounds = rounds
         return [simulator.finish() for simulator in simulators]
+
+
+def walk_earliest_in_flight(coordinator) -> Optional[float]:
+    """The earliest delivery time at the head of any shard's pending
+    buffer, found by walking all of them."""
+    times = [queue[0][0] for queue in coordinator._pending if queue]
+    return min(times) if times else None

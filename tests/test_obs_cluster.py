@@ -75,15 +75,20 @@ class TestClusterTrace:
     def traced(self, workload, small_config):
         return _run(workload, small_config, obs=ObservabilityConfig())
 
-    def test_one_process_track_per_shard_plus_frontdoor(self, traced):
-        pids = {event.pid for event in traced.obs.events}
+    @pytest.fixture
+    def events(self, traced):
+        """The traced run's events, built once (each read rebuilds them)."""
+        return traced.obs.events
+
+    def test_one_process_track_per_shard_plus_frontdoor(self, events):
+        pids = {event.pid for event in events}
         assert pids == {"frontdoor"} | {
             f"shard{index}" for index in range(SHARDS)
         }
 
-    def test_scatter_and_gather_bracket_every_query(self, traced):
-        scatters = [e for e in traced.obs.events if e.name == "cluster.scatter"]
-        gathers = [e for e in traced.obs.events if e.name == "cluster.gather"]
+    def test_scatter_and_gather_bracket_every_query(self, events):
+        scatters = [e for e in events if e.name == "cluster.scatter"]
+        gathers = [e for e in events if e.name == "cluster.gather"]
         assert len(scatters) == NUM_QUERIES
         assert len(gathers) == NUM_QUERIES
         gathered_at = {e.args["query"]: e.ts for e in gathers}
@@ -91,28 +96,26 @@ class TestClusterTrace:
             assert scatter.args["subqueries"] >= 1
             assert gathered_at[scatter.args["query"]] >= scatter.ts - 1e-9
 
-    def test_subquery_completions_count_down_to_gather(self, traced):
-        completions = [
-            e for e in traced.obs.events if e.name == "cluster.subquery.complete"
-        ]
-        scatters = [e for e in traced.obs.events if e.name == "cluster.scatter"]
+    def test_subquery_completions_count_down_to_gather(self, events):
+        completions = [e for e in events if e.name == "cluster.subquery.complete"]
+        scatters = [e for e in events if e.name == "cluster.scatter"]
         expected = sum(event.args["subqueries"] for event in scatters)
         assert len(completions) == expected
         assert sum(
             1 for event in completions if event.args["remaining"] == 0
         ) == NUM_QUERIES
 
-    def test_shard_lifecycles_pair_up(self, traced):
+    def test_shard_lifecycles_pair_up(self, events):
         for shard in range(SHARDS):
-            begins = [e.id for e in traced.obs.events
+            begins = [e.id for e in events
                       if e.pid == f"shard{shard}" and e.ph == PH_ASYNC_BEGIN]
-            ends = [e.id for e in traced.obs.events
+            ends = [e.id for e in events
                     if e.pid == f"shard{shard}" and e.ph == PH_ASYNC_END]
             assert sorted(begins) == sorted(ends)
 
-    def test_chrome_export_shows_shards_as_processes(self, traced):
-        payload = chrome_trace(traced.obs)
-        assert validate_chrome_trace(payload) >= len(traced.obs.events)
+    def test_chrome_export_shows_shards_as_processes(self, traced, events):
+        payload = chrome_trace(events, traced.obs.metrics)
+        assert validate_chrome_trace(payload) >= len(events)
         process_names = {
             record["args"]["name"]
             for record in payload["traceEvents"]
@@ -123,8 +126,8 @@ class TestClusterTrace:
             assert f"shard{shard}" in process_names
         assert "frontdoor" in process_names
 
-    def test_jsonl_round_trips(self, traced):
-        assert read_jsonl(to_jsonl(traced.obs)) == traced.obs.events
+    def test_jsonl_round_trips(self, events):
+        assert read_jsonl(to_jsonl(events)) == events
 
     def test_shard_runs_report_scheduling_counters(self, traced):
         # Figure 8's counters are per shard run; every shard that executed
@@ -143,7 +146,7 @@ class TestClusterTrace:
         flight = FlightRecorder()
         first = _run(workload, small_config, obs=flight)
         assert first.obs is flight
-        count = len(flight.events)
+        count = len(flight.trace)
         second = _run(workload, small_config, obs=flight)
         assert second.obs is flight
-        assert len(flight.events) == 2 * count
+        assert len(flight.trace) == 2 * count

@@ -1,9 +1,10 @@
 """The recorder's compact rows rebuild exactly the events it was sent.
 
-:class:`repro.obs.recorder.TraceRecorder` stores one tuple row per event
-and builds :class:`TraceEvent` records only when they are read.  The
+:class:`repro.obs.recorder.TraceRecorder` stores events column-wise and
+builds :class:`TraceEvent` records only when they are read.  The
 property test here drives random emitter calls into a
-:class:`FlightRecorder` and into :class:`EagerTrace`, which builds one
+:class:`FlightRecorder` and into ``tests/reference_obs.py``'s
+:class:`KeywordFlightRecorder`, whose :class:`EagerTrace` builds one
 ``TraceEvent`` per emission the way the recorder did before the rows, and
 requires the same events, counts and summary.  The pinned hashes hold the
 JSONL and Chrome trace exports of two traced cluster runs (the
@@ -24,38 +25,11 @@ from hypothesis import strategies as st
 
 from repro.cluster.coordinator import run_cluster_service
 from repro.common.config import ObservabilityConfig
-from repro.obs import FlightRecorder, TraceEvent, chrome_trace, to_jsonl
+from repro.obs import FlightRecorder, chrome_trace, read_jsonl, to_jsonl
 from repro.obs.events import PH_ASYNC_BEGIN, PH_ASYNC_END, PH_COMPLETE, PH_INSTANT
+from tests.reference_obs import KeywordFlightRecorder
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-class EagerTrace:
-    """One :class:`TraceEvent` per emission, built at the call."""
-
-    def __init__(self, max_events: int) -> None:
-        self.events = []
-        self.max_events = max_events
-        self.dropped = 0
-
-    def emit(self, phase, name, cat, ts, dur, id, pid, tid, args) -> None:
-        if phase == PH_INSTANT:
-            event = TraceEvent(name, cat, PH_INSTANT, ts, pid, tid, args=args)
-        elif phase == PH_COMPLETE:
-            event = TraceEvent(name, cat, PH_COMPLETE, ts, pid, tid,
-                               dur=dur, args=args)
-        else:
-            event = TraceEvent(name, cat, phase, ts, pid, tid, id=id, args=args)
-        if len(self.events) < self.max_events:
-            self.events.append(event)
-        else:
-            self.dropped += 1
-
-    def summary_lines(self, metric_series: int):
-        detail = f"{len(self.events)} trace events"
-        if self.dropped:
-            detail += f" ({self.dropped} dropped at cap)"
-        return [detail, f"{metric_series} metric series"]
 
 
 def _send(flight: FlightRecorder, phase, name, cat, ts, dur, id, pid, tid, args):
@@ -97,17 +71,19 @@ _calls = st.tuples(
 
 def _assert_rows_rebuild_the_eager_events(calls, max_events) -> None:
     flight = FlightRecorder(ObservabilityConfig(max_trace_events=max_events))
-    eager = EagerTrace(max_events)
+    eager = KeywordFlightRecorder(
+        ObservabilityConfig(max_trace_events=max_events, metrics=False)
+    )
     for phase, name, cat, ts, dur, id, pid, tid, args in calls:
         _send(flight, phase, name, cat, ts, dur, id, pid, tid, args)
-        eager.emit(phase, name, cat, ts, dur, id, pid, tid, dict(args))
+        _send(eager, phase, name, cat, ts, dur, id, pid, tid, dict(args))
     assert flight.events == eager.events
     assert [list(event.args) for event in flight.events] == [
         list(event.args) for event in eager.events
     ]
     assert len(flight.trace.events) == len(flight.trace) == len(eager.events)
-    assert flight.trace.dropped == eager.dropped
-    assert flight.summary_lines() == eager.summary_lines(0)
+    assert flight.trace.dropped == eager.trace.dropped
+    assert flight.summary_lines() == eager.summary_lines() + ["0 metric series"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,13 +107,26 @@ def test_events_are_rebuilt_on_each_read():
     assert first[0] is not second[0]
 
 
+def test_tuples_read_back_as_lists():
+    """A tuple value, stored as it was passed, reads back as the list its
+    JSONL round trip gives, nested tuples too, on both ways in."""
+    flight = FlightRecorder()
+    write = flight.instant_writer("abm.evict", "abm", "p", "t", "victims", "for_chunk")
+    write(1.0, ((3, "a"), (4, "b")), 7)
+    flight.instant("cluster.gather", "cluster", 2.0, "p", "t", shards=(0, 2))
+    evict, gather = flight.events
+    assert evict.args == {"victims": [[3, "a"], [4, "b"]], "for_chunk": 7}
+    assert gather.args == {"shards": [0, 2]}
+    assert read_jsonl(to_jsonl(flight)) == flight.events
+
+
 def test_one_kind_per_call_shape():
     flight = FlightRecorder()
     for ts in range(3):
         flight.instant("a", "abm", float(ts), "p", "t", query=ts, chunk=ts)
     flight.instant("a", "abm", 3.0, "p", "t", chunk=3, query=3)
-    kinds = {id(row[0]) for row in flight.trace._rows}
-    assert len(kinds) == 2
+    assert len(flight.trace._kinds) == 2
+    assert list(flight.trace._kind_of) == [0, 0, 0, 1]
 
 
 # ------------------------------------------------------------ export pins

@@ -8,6 +8,10 @@ live shard every round — and every output must agree exactly: per-shard
 scheduling fingerprints, gathered records, SLO dicts, availability reports
 and the number of global rounds.
 
+On the real driver every ``earliest_in_flight`` answer, which the
+coordinator keeps until a pending buffer changes, is also checked against
+``tests/reference_lockstep.py``'s walk over every pending buffer.
+
 Scenarios are drawn from a seed over shards (1, 3, 8), replication (1, 2),
 one or two workload classes, a free or priced coordinator, seeded
 kill/repair schedules plus a degrade, and hedging.  Tier-1 runs a small
@@ -39,7 +43,7 @@ from repro.sim.results import scheduling_fingerprint
 from repro.sim.setup import make_nsm_abm
 from repro.storage.nsm import NSMTableLayout
 from repro.workload.queries import QueryFamily, QueryTemplate, classed_templates
-from tests.reference_lockstep import ReferenceLockstepRunner
+from tests.reference_lockstep import ReferenceLockstepRunner, walk_earliest_in_flight
 
 NUM_CHUNKS = 48
 NUM_QUERIES = 40
@@ -146,9 +150,12 @@ def _arrivals(scenario: Scenario, layout):
     )
 
 
-def run_under(driver, scenario: Scenario, tiny_schema, small_config):
+def run_under(driver, scenario: Scenario, tiny_schema, small_config,
+              in_flight_checks=None):
     """One cluster run with ``driver`` as the lockstep runner class;
-    returns ``(result, rounds)``."""
+    returns ``(result, rounds)``.  With a list for ``in_flight_checks``,
+    every ``earliest_in_flight`` answer is checked against the walk and
+    appended to it."""
     cluster = _cluster(scenario)
     shard_map = ShardMap.from_cluster_config(cluster, NUM_CHUNKS)
     abms = [
@@ -168,8 +175,21 @@ def run_under(driver, scenario: Scenario, tiny_schema, small_config):
             super().__init__(*args, **kwargs)
             runners.append(self)
 
+    kept = coordinator_module.ClusterCoordinator.earliest_in_flight
+
+    def checked(coordinator):
+        answer = kept(coordinator)
+        assert answer == walk_earliest_in_flight(coordinator), scenario
+        in_flight_checks.append(answer)
+        return answer
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coordinator_module, "LockstepRunner", Recording)
+        if in_flight_checks is not None:
+            patch.setattr(
+                coordinator_module.ClusterCoordinator, "earliest_in_flight",
+                checked,
+            )
         result = run_cluster_service(arrivals, small_config, abms, cluster)
     (runner,) = runners
     return result, runner.rounds
@@ -187,8 +207,15 @@ def outputs(result, rounds):
 
 def _check(seed, tiny_schema, small_config):
     scenario = draw(seed)
-    result, rounds = run_under(LockstepRunner, scenario, tiny_schema, small_config)
+    answers = []
+    result, rounds = run_under(
+        LockstepRunner, scenario, tiny_schema, small_config, answers
+    )
     assert result.slo.completed == NUM_QUERIES, scenario
+    # Every round asked, and some asked while a scatter was on the wire.
+    assert len(answers) == rounds, scenario
+    if scenario.priced:
+        assert any(answer is not None for answer in answers), scenario
     if scenario.failures:
         assert result.availability.kills == 2, scenario
     oracle, oracle_rounds = run_under(
